@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import build_experiment_config, parse_config_file
-from .experiment import run_experiment, scale_sweep
+from .experiment import run_experiment, scale_sweep, worker_count
 
 
 class _CliError(Exception):
@@ -64,6 +64,7 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config", "sides") and v is not None}
         cfg = build_experiment_config(file_values, overrides)
+        worker_count()  # a bad SRS_THREADS fails here, before any trial runs
         if args.command == "sweep":
             sides = [int(s) for s in args.sides.split(",") if s.strip()]
             if not sides:

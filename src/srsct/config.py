@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class SolverConfig:
     tikhonov_weight: float = 0.0
     tv_split_penalty: float = 1.0
     simplex_split_penalty: float = 1.0
-    simplex_floor: float = 1e-4
     outer_tol: float = 1e-4
     outer_max: int = 200
     cgls_tol: float = 1e-4
@@ -33,7 +32,6 @@ class SolverConfig:
     admm_max: int = 50
     bregman_tol: float = 1e-2
     bregman_max: int = 200
-    bregman_penalty_scale: float = 2.0
 
     def __post_init__(self):
         if self.data_weight <= 0:
@@ -41,17 +39,13 @@ class SolverConfig:
         for name in ("tv_weight", "tikhonov_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("tv_split_penalty", "simplex_split_penalty", "simplex_floor",
-                     "outer_tol", "cgls_tol", "admm_tol", "bregman_tol",
-                     "bregman_penalty_scale"):
+        for name in ("tv_split_penalty", "simplex_split_penalty",
+                     "outer_tol", "cgls_tol", "admm_tol", "bregman_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("outer_max", "cgls_max", "admm_max", "bregman_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-
-    def without_tikhonov(self) -> "SolverConfig":
-        return replace(self, tikhonov_weight=0.0)
 
 
 @dataclass
@@ -116,9 +110,6 @@ class ExperimentConfig:
         if len(parse_angles(self.angles)) < 1:
             raise ValueError(f"angle spec {self.angles!r} yields no angles")
 
-    def angle_list(self) -> list[float]:
-        return parse_angles(self.angles)
-
 
 def parse_angles(spec: str) -> list[float]:
     """Expand a `start:step:stop` degree spec into an inclusive angle list."""
@@ -134,20 +125,16 @@ def parse_angles(spec: str) -> list[float]:
     return [start + step * k for k in range(count)]
 
 
-_BOOL_KEYS = {"pgm_binary"}
-_INT_KEYS = {"grid_side", "detector_pixels", "trials", "seed",
-             "outer_max", "cgls_max", "admm_max", "bregman_max"}
-_FLOAT_KEYS = {"noise_level", "prior_sigma", "data_weight", "tv_weight",
-               "tikhonov_weight", "tv_split_penalty", "simplex_split_penalty",
-               "simplex_floor", "outer_tol", "cgls_tol", "admm_tol",
-               "bregman_tol", "bregman_penalty_scale"}
-_STR_KEYS = {"phantom", "angles", "variant", "out_dir"}
-_SOLVER_KEYS = {
-    "data_weight", "tv_weight", "tikhonov_weight", "tv_split_penalty",
-    "simplex_split_penalty", "simplex_floor", "outer_tol", "outer_max",
-    "cgls_tol", "cgls_max", "admm_tol", "admm_max", "bregman_tol",
-    "bregman_max", "bregman_penalty_scale",
-}
+def _parse_bool(value: str) -> bool:
+    return value.lower() in ("1", "true", "yes", "on")
+
+
+# Config keys are the dataclass fields; each parses from its file string by
+# its annotated type (a string here, as annotations are postponed).
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str, "str | None": str}
+_KEY_PARSERS = {f.name: _PARSERS[f.type]
+                for f in fields(ExperimentConfig) + fields(SolverConfig)
+                if f.name != "solver"}
 
 
 def parse_config_file(path) -> dict:
@@ -165,20 +152,6 @@ def parse_config_file(path) -> dict:
     return raw
 
 
-def _convert(key: str, value):
-    if isinstance(value, str):
-        if key in _BOOL_KEYS:
-            return value.lower() in ("1", "true", "yes", "on")
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _STR_KEYS:
-            return value
-        raise ValueError(f"unknown config key {key!r}")
-    return value
-
-
 def build_experiment_config(file_values: dict | None = None,
                             overrides: dict | None = None) -> ExperimentConfig:
     """Merge defaults, config-file values and CLI overrides, in that order.
@@ -191,19 +164,15 @@ def build_experiment_config(file_values: dict | None = None,
         for key, value in source.items():
             if value is None:
                 continue
-            merged[_check_key(key)] = _convert(key, value)
+            if key not in _KEY_PARSERS:
+                raise ValueError(f"unknown config key {key!r}")
+            merged[key] = _KEY_PARSERS[key](value) if isinstance(value, str) else value
 
     phantom = merged.get("phantom", "piecewise")
     defaults = _PIECEWISE_DEFAULTS if phantom == "piecewise" else _SMOOTH_DEFAULTS
     for key, value in defaults.items():
         merged.setdefault(key, value)
 
-    solver_kwargs = {k: merged.pop(k) for k in list(merged) if k in _SOLVER_KEYS}
-    solver = SolverConfig(**solver_kwargs)
+    solver = SolverConfig(**{f.name: merged.pop(f.name)
+                             for f in fields(SolverConfig) if f.name in merged})
     return ExperimentConfig(solver=solver, **merged)
-
-
-def _check_key(key: str) -> str:
-    if key not in (_BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS):
-        raise ValueError(f"unknown config key {key!r}")
-    return key

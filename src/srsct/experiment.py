@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -15,7 +16,7 @@ from .errors import DivergenceError
 from .geometry import add_noise, apply, build_parallel_geometry
 from .metrics import reconstruction_error, segmentation_error
 from .pgm import write_pgm
-from .phantoms import make_piecewise_phantom, make_smooth_phantom
+from .phantoms import make_piecewise_phantom, make_smooth_phantom, write_labels_csv
 from .solver import SrsProblem, reconstruct_and_segment
 
 REPORT_HEADER = "seed,rec_err,seg_err,seconds,outer_iters,status"
@@ -89,10 +90,13 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     return trial, result
 
 
-def _worker(args):
-    cfg, seed = args
-    trial, _ = run_trial(cfg, seed)
-    return trial
+def worker_count() -> int:
+    """The SRS_THREADS environment variable as an integer; 1 when unset or empty."""
+    value = os.environ.get("SRS_THREADS") or "1"
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"SRS_THREADS must be an integer, got {value!r}") from None
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -101,25 +105,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     Trial seeds are base seed + trial index, so reports are reproducible
     (apart from wall-clock times) regardless of worker count. The worker
     pool size comes from the SRS_THREADS environment variable; unset or <2
-    runs sequentially. Output files (report.csv, x_final.pgm, labels.csv,
-    energy_trace.csv for the first trial) are written when out_dir is set.
+    runs sequentially, and a value that is not an integer raises ValueError.
+    Output files (report.csv, x_final.pgm, labels.csv, energy_trace.csv for
+    the first trial) are written when out_dir is set.
     """
-    seeds = [cfg.seed + i for i in range(cfg.trials)]
-    workers = int(os.environ.get("SRS_THREADS", "1") or "1")
+    seeds = range(cfg.seed, cfg.seed + cfg.trials)
+    workers = min(worker_count(), cfg.trials)
 
-    first_result = None
-    if workers > 1 and cfg.trials > 1:
-        trial0, first_result = run_trial(cfg, seeds[0])
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as pool:
-            rest = list(pool.map(_worker, [(cfg, s) for s in seeds[1:]]))
-        trials = [trial0] + rest
-    else:
-        trials = []
-        for i, seed in enumerate(seeds):
-            trial, result = run_trial(cfg, seed)
-            trials.append(trial)
-            if i == 0:
+    trials, first_result = [], None
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # build the scan before the fork so the workers inherit it
+            _scan_setup(cfg.phantom, cfg.grid_side, cfg.detector_pixels, cfg.angles)
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for trial, result in mapper(run_trial, [cfg] * cfg.trials, seeds):
+            if not trials:
                 first_result = result
+            trials.append(trial)
 
     ok = [t for t in trials if t.status == "ok"]
     if ok:
@@ -162,10 +165,7 @@ def _write_artifacts(report: RunReport, first_result) -> None:
         report.files["image"] = str(pgm_path)
 
         labels_path = out / "labels.csv"
-        grid = first_result.labels.reshape(side, side)
-        with open(labels_path, "w", encoding="ascii") as fh:
-            for row in grid:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+        write_labels_csv(labels_path, first_result.labels.reshape(side, side))
         report.files["labels"] = str(labels_path)
 
         trace_path = out / "energy_trace.csv"

@@ -5,8 +5,7 @@ membership ADMM.
 Measure fields are plain float64 arrays of shape (N, K). Two conventions
 appear: simplex-interior fields have rows on the open probability simplex
 (entries in (0, 1), rows summing to 1) while coupling fields only need
-strictly positive entries. `check_simplex_interior` and `check_positive`
-validate them.
+strictly positive entries.
 """
 
 from __future__ import annotations
@@ -21,19 +20,7 @@ from .geometry import SystemMatrix, apply
 
 _TINY = np.finfo(np.float64).tiny  # smallest positive normal double
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def check_simplex_interior(field: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless every row lies strictly inside the probability simplex."""
-    if np.any(field <= 0.0) or np.any(field >= 1.0):
-        raise ValueError("field entries must lie in the open interval (0, 1)")
-    if np.max(np.abs(field.sum(axis=-1) - 1.0)) > tol:
-        raise ValueError("field rows must sum to 1")
-
-
-def check_positive(field: np.ndarray) -> None:
-    if np.any(field <= 0.0):
-        raise ValueError("field entries must be strictly positive")
+BREGMAN_PENALTY_SCALE = 2.0  # split-Bregman penalty per unit of TV weight
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +181,7 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
 
     Split Bregman with an auxiliary gradient variable and isotropic
     shrinkage. The penalty is scaled so the Gauss-Seidel system stays
-    (I + bregman_penalty_scale * grad^T grad) regardless of the weight;
+    (I + BREGMAN_PENALTY_SCALE * grad^T grad) regardless of the weight;
     two red-black sweeps approximate each inner solve. Accepts a flat
     (N,) image or an (N, K) stack sharing one Frobenius stopping rule.
 
@@ -216,7 +203,7 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         return v_in.copy(), {"iterations": 0,
                              "state": (v.copy(), zh, zh.copy(), zh.copy(), zh.copy())}
 
-    scale = cfg.bregman_penalty_scale
+    scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
     deg = _neighbor_degree(n)
     red = (np.indices((n, n)).sum(axis=0) % 2) == 0

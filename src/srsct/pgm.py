@@ -30,8 +30,3 @@ def write_pgm(path, image: np.ndarray, binary: bool = False) -> None:
             fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n{MAXVAL}\n")
             for row in quantized:
                 fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def write_phantom_pgm(phantom, path, binary: bool = False) -> None:
-    side = phantom.grid_side
-    write_pgm(path, phantom.image.reshape(side, side), binary=binary)

@@ -98,9 +98,8 @@ def make_smooth_phantom(grid_side: int) -> Phantom:
     return Phantom(n, image.ravel(), labels.astype(np.int64), means)
 
 
-def write_labels_csv(phantom: Phantom, path) -> None:
-    """Write the label map as ASCII CSV, one image row per line."""
-    grid = phantom.labels.reshape(phantom.grid_side, phantom.grid_side)
+def write_labels_csv(path, labels: np.ndarray) -> None:
+    """Write a 2-D label grid as ASCII CSV, one image row per line."""
     with open(path, "w", encoding="ascii") as fh:
-        for row in grid:
+        for row in labels:
             fh.write(",".join(str(int(v)) for v in row) + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .kernels import (
     update_coupling,
     update_responsibilities,
 )
+from .metrics import labels_from
+
+SIMPLEX_FLOOR = 1e-4  # score floor of the clamped simplex normalization
 
 
 @dataclass
@@ -44,6 +47,8 @@ class SrsProblem:
             raise ValueError("system columns do not match the pixel grid")
         if len(self.sinogram) != self.system.m:
             raise ValueError("sinogram length does not match system rows")
+        if not np.all(np.isfinite(self.sinogram.values)):
+            raise ValueError("sinogram values must be finite")
         if self.prior.n_classes < 2:
             raise ValueError("at least two classes are required")
 
@@ -144,7 +149,7 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
         else:
             delta = target
         eta = update_coupling(delta, psi, lam_tv, lam_simplex, phi, g1, g2)
-        psi = normalize_to_simplex(eta, lam_simplex, g2, cfg.simplex_floor)
+        psi = normalize_to_simplex(eta, lam_simplex, g2, SIMPLEX_FLOOR)
         lam_tv = lam_tv + g1 * (delta - eta)
         lam_simplex = lam_simplex + g2 * (eta - psi)
 
@@ -173,7 +178,7 @@ def reconstruct_and_segment(problem: SrsProblem, cfg: SolverConfig,
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    eff = cfg.without_tikhonov() if variant == "model-9" else cfg
+    eff = replace(cfg, tikhonov_weight=0.0) if variant == "model-9" else cfg
 
     n = problem.grid_side
     n_pix = n * n
@@ -221,8 +226,7 @@ def reconstruct_and_segment(problem: SrsProblem, cfg: SolverConfig,
             break
     seconds = time.perf_counter() - started
 
-    labels = np.argmax(delta, axis=1) + 1
     return SrsResult(x=x, memberships=delta, responsibilities=phi,
-                     labels=labels.astype(np.int64), iterations=iterations,
+                     labels=labels_from(delta), iterations=iterations,
                      seconds=seconds, energy_trace=energy_trace,
                      rel_changes=rel_changes, info=totals)

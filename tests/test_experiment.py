@@ -1,6 +1,6 @@
 """Experiment harness: config handling, trial reports, artifacts, CLI."""
 
-import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +23,16 @@ FAST = dict(
 )
 FAST_SOLVER = SolverConfig(data_weight=0.2, tv_weight=1.0, tikhonov_weight=1.0,
                            simplex_split_penalty=2.0, outer_max=6)
+
+
+# every config key with its annotated type: the fields of both dataclasses
+FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig) + fields(SolverConfig)
+               if f.name != "solver"}
+SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
+# (file text, parsed value): by type, or by key where the value has a domain
+TYPE_SAMPLES = {"bool": ("off", False), "int": ("7", 7), "float": ("0.5", 0.5)}
+STRING_SAMPLES = {"phantom": ("smooth", "smooth"), "angles": ("12:12:180", "12:12:180"),
+                  "variant": ("model-9", "model-9"), "out_dir": ("runs/x", "runs/x")}
 
 
 def fast_config(**overrides):
@@ -85,9 +95,21 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("phantum = piecewise\n")
-        with pytest.raises(ValueError):
-            build_experiment_config(parse_config_file(path))
+        # the last two were SolverConfig fields and are now fixed constants
+        for key in ("phantum", "bregman_penalty_scale", "simplex_floor"):
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                build_experiment_config(parse_config_file(path))
+
+    @pytest.mark.parametrize("name", FIELD_TYPES)
+    def test_every_field_parses_to_its_type(self, tmp_path, name):
+        text, expected = STRING_SAMPLES.get(name) or TYPE_SAMPLES[FIELD_TYPES[name]]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{name} = {text}\n")
+        cfg = build_experiment_config(parse_config_file(path))
+        value = getattr(cfg.solver if name in SOLVER_KEYS else cfg, name)
+        assert type(value) is type(expected)
+        assert value == expected
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -166,6 +188,14 @@ class TestRunExperiment:
             assert a.rec_err == b.rec_err
             assert a.seg_err == b.seg_err
             assert a.outer_iters == b.outer_iters
+        for name in ("x_final.pgm", "labels.csv"):
+            assert (tmp_path / "seq" / name).read_bytes() == \
+                (tmp_path / "par" / name).read_bytes()
+
+    def test_non_integer_srs_threads_rejected(self, monkeypatch):
+        monkeypatch.setenv("SRS_THREADS", "abc")
+        with pytest.raises(ValueError, match="SRS_THREADS"):
+            run_experiment(fast_config())
 
     def test_no_files_without_out_dir(self):
         report = run_experiment(fast_config(trials=1))
@@ -198,7 +228,7 @@ class TestSweep:
         base = fast_config()
         for side in (64, 128, 256, 512):
             cfg = sweep_config(base, side)
-            n_angles = len(cfg.angle_list())
+            n_angles = len(parse_angles(cfg.angles))
             rate = cfg.detector_pixels * n_angles / cfg.grid_side ** 2
             assert rate == pytest.approx(0.667, abs=2e-3)
         assert sweep_config(base, 128).detector_pixels == 182
@@ -261,6 +291,12 @@ class TestCli:
         cfg.write_text("phantum = piecewise\n")
         assert main(["run", "--config", str(cfg)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_non_integer_srs_threads_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("SRS_THREADS", "abc")
+        assert main(["run", "--phantom", "piecewise", "--n", "16", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "SRS_THREADS" in err
 
     def test_missing_config_file_exit_one(self):
         assert main(["run", "--config", "/nonexistent/path.cfg"]) == 1

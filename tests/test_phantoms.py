@@ -5,7 +5,7 @@ import pytest
 
 from srsct import make_piecewise_phantom, make_smooth_phantom
 from srsct.kernels import image_gradient
-from srsct.pgm import write_phantom_pgm
+from srsct.pgm import write_pgm
 from srsct.phantoms import write_labels_csv
 
 
@@ -78,7 +78,7 @@ class TestSmoothPhantom:
 def test_labels_csv_round_trip(tmp_path):
     ph = make_piecewise_phantom(16)
     path = tmp_path / "labels.csv"
-    write_labels_csv(ph, path)
+    write_labels_csv(path, ph.labels.reshape(16, 16))
     rows = [list(map(int, line.split(","))) for line in path.read_text().splitlines()]
     np.testing.assert_array_equal(np.asarray(rows).ravel(), ph.labels)
 
@@ -86,7 +86,7 @@ def test_labels_csv_round_trip(tmp_path):
 def test_phantom_pgm_header_and_scale(tmp_path):
     ph = make_piecewise_phantom(16)
     path = tmp_path / "phantom.pgm"
-    write_phantom_pgm(ph, path)
+    write_pgm(path, ph.image.reshape(16, 16))
     lines = path.read_text("ascii").splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "16 16"

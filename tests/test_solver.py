@@ -23,11 +23,13 @@ from srsct import (
     update_responsibilities,
 )
 from srsct.geometry import add_noise
-from srsct.kernels import (
-    check_simplex_interior,
-    image_gradient,
-    total_variation,
-)
+from srsct.kernels import image_gradient, total_variation
+
+
+def assert_simplex_interior(field):
+    """Every row lies strictly inside the probability simplex."""
+    assert np.all((field > 0.0) & (field < 1.0))
+    np.testing.assert_allclose(field.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
 
 
 def membership_cycle_fixed_point(resp):
@@ -74,7 +76,7 @@ class TestMembershipSubproblem:
         resp = rng.dirichlet(np.ones(5), size=36)
         out, _ = solve_membership_subproblem(resp, np.full((36, 5), 0.2),
                                              SolverConfig(), 6)
-        check_simplex_interior(out)
+        assert_simplex_interior(out)
 
     def test_tv_pull_smooths_memberships(self):
         # a salt-and-pepper responsibility field: TV-regularized memberships
@@ -241,7 +243,7 @@ class TestReconstructAndSegment:
         result = reconstruct_and_segment(problem, cfg, "model-9")
         expected, _ = update_responsibilities(result.x, result.memberships, prior)
         np.testing.assert_allclose(result.responsibilities, expected, atol=1e-12)
-        check_simplex_interior(result.memberships)
+        assert_simplex_interior(result.memberships)
         np.testing.assert_allclose(result.responsibilities.sum(axis=1), 1.0,
                                    atol=1e-12)
 
@@ -270,3 +272,14 @@ class TestReconstructAndSegment:
         single = ClassPrior(np.array([0.5]), np.array([0.1]))
         with pytest.raises(ValueError):
             SrsProblem(system, Sinogram(np.zeros(system.m)), single, n)
+
+    def test_non_finite_sinogram_rejected(self):
+        n = 16
+        ph = make_piecewise_phantom(n)
+        system = build_parallel_geometry(n, 23, [90.0])
+        prior = ClassPrior(ph.class_means, np.full(8, 0.1))
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros(system.m)
+            values[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SrsProblem(system, Sinogram(values), prior, n)
