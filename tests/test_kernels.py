@@ -5,6 +5,10 @@ the brute-force oracles defined in this file.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +32,11 @@ from srsct import (
     update_coupling,
     update_responsibilities,
 )
+from srsct.kernels import BREGMAN_PENALTY_SCALE, _neumann_basis
 
 
 def tv_objective(u, v, weight, n):
-    return weight * total_variation(u.reshape(n, n)) + 0.5 * np.sum((u - v) ** 2)
+    return weight * total_variation(u.reshape(n, n, -1)) + 0.5 * np.sum((u - v) ** 2)
 
 
 def tv_subgradient_oracle(v, weight, n, iters=10_000, step=0.5):
@@ -271,11 +276,30 @@ class TestTvProx:
         out, _ = tv_prox(v, 0.5, 4, cfg)
         assert tv_objective(out, v, 0.5, 4) <= tv_subgradient_oracle(v, 0.5, 4) + 1e-3
 
-    def test_descent_from_input(self):
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal(64)
-        out, _ = tv_prox(v, 0.3, 8, SolverConfig())
-        assert tv_objective(out, v, 0.3, 8) <= tv_objective(v, v, 0.3, 8)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=3),
+           st.floats(min_value=0.05, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_descent_from_input(self, seed, n, k, weight):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n * n, k))
+        out, _ = tv_prox(v, weight, n, SolverConfig())
+        assert tv_objective(out, v, weight, n) <= tv_objective(v, v, weight, n)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=3),
+           st.floats(min_value=0.05, max_value=1.0),
+           st.sampled_from([1e-2, 1e-1, 1.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_non_expansive(self, seed, n, k, weight, step):
+        rng = np.random.default_rng(seed)
+        shape = (n * n,) if k == 1 else (n * n, k)
+        a = rng.standard_normal(shape)
+        b = a + step * rng.standard_normal(shape)
+        cfg = SolverConfig(bregman_tol=1e-9, bregman_max=5000)
+        prox_a, _ = tv_prox(a, weight, n, cfg)
+        prox_b, _ = tv_prox(b, weight, n, cfg)
+        assert np.linalg.norm(prox_a - prox_b) <= np.linalg.norm(a - b) * (1 + 1e-6)
 
     def test_warm_state_round_trip(self):
         rng = np.random.default_rng(12)
@@ -290,6 +314,42 @@ class TestTvProx:
             tv_prox(np.ones(16), 0.0, 4, SolverConfig())
         with pytest.raises(ValueError):
             tv_prox(np.full(16, np.inf), 1.0, 4, SolverConfig())
+
+
+class TestTvProxInnerSolve:
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("k", [None, 1, 2, 8])
+    def test_one_pass_solves_the_inner_system(self, n, k):
+        # with the shrinkage pair and the Bregman variables at zero, one
+        # pass returns (I + s grad^T grad)^-1 of the input; k None is a
+        # flat (N,) image
+        rng = np.random.default_rng(n)
+        rhs = rng.standard_normal((n * n,) if k is None else (n * n, k))
+        _, zero = tv_prox(np.zeros_like(rhs), 1.0, n, SolverConfig())
+        u, info = tv_prox(rhs, 1.0, n, SolverConfig(bregman_max=1), state=zero["state"])
+        assert info["iterations"] == 1 and u.shape == rhs.shape
+        grid = u.reshape(n, n, -1)
+        lhs = grid + BREGMAN_PENALTY_SCALE * image_gradient_adjoint(*image_gradient(grid))
+        residual = np.linalg.norm(lhs - rhs.reshape(n, n, -1))
+        assert residual <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+    def test_basis_is_orthonormal(self, n):
+        basis, _ = _neumann_basis(n, BREGMAN_PENALTY_SCALE)
+        np.testing.assert_allclose(basis @ basis.T, np.eye(n), rtol=0, atol=1e-13)
+
+    def test_leaves_scipy_fft_unimported(self):
+        # scipy.fft pulls in scipy.special, several MB of resident memory
+        # that the dense basis does without
+        code = ("import sys, numpy as np, srsct\n"
+                "srsct.tv_prox(np.arange(16.0), 0.5, 4, srsct.SolverConfig())\n"
+                "print(sorted({'scipy.fft', 'scipy.special'} & set(sys.modules)))")
+        src = str(Path(sys.modules["srsct"].__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestSolveReconstruction:

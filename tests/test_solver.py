@@ -260,6 +260,23 @@ class TestReconstructAndSegment:
         np.testing.assert_array_equal(result.labels,
                                       np.argmax(result.memberships, axis=1) + 1)
 
+    @pytest.mark.parametrize("variant", ["model-9", "model-16"])
+    def test_two_classes_on_a_small_grid(self, variant):
+        n = 16
+        rows, cols = np.indices((n, n))
+        disk = (rows - 7.5) ** 2 + (cols - 7.5) ** 2 < 25.0
+        image = np.where(disk, 0.8, 0.2).ravel()
+        system = build_parallel_geometry(n, 23, [15.0 * k for k in range(1, 13)])
+        sino = add_noise(apply(system, image), 0.02, 11)
+        prior = ClassPrior(np.array([0.2, 0.8]), np.array([0.1, 0.1]))
+        problem = SrsProblem(system, sino, prior, n)
+        cfg = SolverConfig(data_weight=0.2, tv_weight=1.0, tikhonov_weight=1.0,
+                           simplex_split_penalty=2.0, outer_max=5)
+        result = reconstruct_and_segment(problem, cfg, variant)
+        assert np.all(np.isfinite(result.x))
+        assert_simplex_interior(result.memberships)
+        assert set(np.unique(result.labels)) == {1, 2}
+
     def test_problem_dimension_validation(self):
         n = 16
         ph = make_piecewise_phantom(n)
