@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import build_experiment_config, parse_config_file
-from .experiment import run_experiment, scale_sweep, worker_count
+from .experiment import check_config, run_experiment, scale_sweep, sweep_config, worker_count
 
 
 class _CliError(Exception):
@@ -65,10 +65,14 @@ def main(argv=None) -> int:
                      if k not in ("command", "config", "sides") and v is not None}
         cfg = build_experiment_config(file_values, overrides)
         worker_count()  # a bad SRS_THREADS fails here, before any trial runs
+        configs = [cfg]
         if args.command == "sweep":
             sides = [int(s) for s in args.sides.split(",") if s.strip()]
             if not sides:
                 raise ValueError("--sides must list at least one grid side")
+            configs = [sweep_config(cfg, side) for side in sides]
+        for each in configs:
+            check_config(each)
     except (_CliError, ValueError, OSError) as exc:
         print(f"srs: configuration error: {exc}", file=sys.stderr)
         return 1

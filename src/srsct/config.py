@@ -107,8 +107,7 @@ class ExperimentConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        if len(parse_angles(self.angles)) < 1:
-            raise ValueError(f"angle spec {self.angles!r} yields no angles")
+        parse_angles(self.angles)  # rejects a malformed or empty spec
 
 
 def parse_angles(spec: str) -> list[float]:

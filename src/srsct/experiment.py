@@ -13,10 +13,11 @@ import numpy as np
 
 from .config import ClassPrior, ExperimentConfig, parse_angles
 from .errors import DivergenceError
-from .geometry import add_noise, apply, build_parallel_geometry
+from .geometry import add_noise, apply, build_parallel_geometry, check_noise_level, check_scan
 from .metrics import reconstruction_error, segmentation_error
 from .pgm import write_pgm
-from .phantoms import make_piecewise_phantom, make_smooth_phantom, write_labels_csv
+from .phantoms import (check_grid_side, make_piecewise_phantom, make_smooth_phantom,
+                       write_labels_csv)
 from .solver import SrsProblem, reconstruct_and_segment
 
 REPORT_HEADER = "seed,rec_err,seg_err,seconds,outer_iters,status"
@@ -66,6 +67,15 @@ def _scan_setup(phantom_kind: str, grid_side: int, detector_pixels: int, angles:
     system = build_parallel_geometry(grid_side, detector_pixels, parse_angles(angles))
     b_clean = apply(system, phantom.image)
     return phantom, system, b_clean
+
+
+def check_config(cfg: ExperimentConfig) -> None:
+    """Apply the phantom, scan, noise and prior rules to one configuration,
+    so that a bad setting fails before any trial runs."""
+    check_grid_side(cfg.grid_side)
+    check_scan(cfg.grid_side, cfg.detector_pixels, parse_angles(cfg.angles))
+    check_noise_level(cfg.noise_level)
+    ClassPrior([0.0], [cfg.prior_sigma])
 
 
 def run_trial(cfg: ExperimentConfig, seed: int):

@@ -82,24 +82,15 @@ class Sinogram:
 
     def __init__(self, values: np.ndarray, noise_level: float = 0.0, seed: int = 0):
         self.values = np.asarray(values, dtype=np.float64)
-        self.noise_level = float(noise_level)
+        self.noise_level = check_noise_level(noise_level)
         self.seed = int(seed)
-        if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
 
-def build_parallel_geometry(grid_side: int, detector_pixels: int,
-                            angles_deg) -> SystemMatrix:
-    """Trace parallel rays through the pixel grid and assemble the CSR matrix.
-
-    Each stored value is the intersection length (in pixel units) of one ray
-    with one pixel, found by sorting the ray's crossing parameters with all
-    grid lines and assigning each segment to the pixel containing its
-    midpoint. The build is vectorized per angle and bit-reproducible.
-    """
+def check_scan(grid_side: int, detector_pixels: int, angles_deg):
+    """Validate a parallel-beam scan; returns it as (n, p, list of angles)."""
     n = int(grid_side)
     p = int(detector_pixels)
     angles = [float(a) for a in np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))]
@@ -112,17 +103,29 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
     for a in angles:
         if not 0.0 < a <= 180.0:
             raise ValueError(f"angle {a} outside (0, 180] degrees")
+    return n, p, angles
+
+
+def build_parallel_geometry(grid_side: int, detector_pixels: int,
+                            angles_deg) -> SystemMatrix:
+    """Trace parallel rays through the pixel grid and write the CSR matrix.
+
+    Each stored value is the intersection length (in pixel units) of one ray
+    with one pixel, found by sorting the ray's crossing parameters with all
+    grid lines and assigning each segment to the pixel containing its
+    midpoint. Rays are traced in row order (angle-major, then ray), so each
+    ray's hit count, columns and values are its CSR row as they stand. The
+    build is vectorized per angle and bit-reproducible.
+    """
+    n, p, angles = check_scan(grid_side, detector_pixels, angles_deg)
 
     half = n / 2.0
     spacing = n * math.sqrt(2.0) / p
     offsets = (np.arange(p) - (p - 1) / 2.0) * spacing
     grid_lines = np.arange(n + 1, dtype=np.float64) - half
 
-    rows_all = []
-    cols_all = []
-    vals_all = []
-
-    for a_idx, theta in enumerate(angles):
+    counts_all, cols_all, vals_all = [], [], []
+    for theta in angles:
         th = math.radians(theta)
         ex, ey = math.cos(th), math.sin(th)     # detector axis
         dx, dy = -math.sin(th), math.cos(th)    # ray direction
@@ -135,35 +138,27 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
         ox = offsets * ex
         oy = offsets * ey
 
-        params = [np.empty((p, 0))]
-        if dx != 0.0:
-            params.append((grid_lines[None, :] - ox[:, None]) / dx)
-            t1 = (-half - ox) / dx
-            t2 = (half - ox) / dx
-            tx_lo, tx_hi = np.minimum(t1, t2), np.maximum(t1, t2)
-        else:
-            inside = (ox >= -half) & (ox < half)
-            tx_lo = np.where(inside, -np.inf, np.inf)
-            tx_hi = np.where(inside, np.inf, -np.inf)
-        if dy != 0.0:
-            params.append((grid_lines[None, :] - oy[:, None]) / dy)
-            t1 = (-half - oy) / dy
-            t2 = (half - oy) / dy
-            ty_lo, ty_hi = np.minimum(t1, t2), np.maximum(t1, t2)
-        else:
-            inside = (oy >= -half) & (oy < half)
-            ty_lo = np.where(inside, -np.inf, np.inf)
-            ty_hi = np.where(inside, np.inf, -np.inf)
+        # grid-line crossings and slab entry/exit along each axis
+        params, lo, hi = [], [], []
+        for o, d in ((ox, dx), (oy, dy)):
+            if d != 0.0:
+                params.append((grid_lines[None, :] - o[:, None]) / d)
+                t1 = (-half - o) / d
+                t2 = (half - o) / d
+                lo.append(np.minimum(t1, t2))
+                hi.append(np.maximum(t1, t2))
+            else:
+                inside = (o >= -half) & (o < half)
+                lo.append(np.where(inside, -np.inf, np.inf))
+                hi.append(np.where(inside, np.inf, -np.inf))
 
-        t_in = np.maximum(tx_lo, ty_lo)
-        t_out = np.minimum(tx_hi, ty_hi)
+        t_in = np.maximum(*lo)
+        t_out = np.minimum(*hi)
         hit = t_out > t_in
         t_in = np.where(hit, t_in, 0.0)
         t_out = np.where(hit, t_out, 0.0)
 
-        params.append(t_in[:, None])
-        params.append(t_out[:, None])
-        t = np.concatenate(params, axis=1)
+        t = np.concatenate(params + [t_in[:, None], t_out[:, None]], axis=1)
         t = np.clip(t, t_in[:, None], t_out[:, None])
         t.sort(axis=1)
 
@@ -173,21 +168,17 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
         my = oy[:, None] + tm * dy
         ix = np.floor(mx + half).astype(np.int64)
         iy = np.floor(my + half).astype(np.int64)
+        # a missed ray has t_in = t_out = 0, so all its segments are empty
         valid = (seg > 0.0) & (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-        valid &= hit[:, None]
-
-        ray_idx, _ = np.nonzero(valid)
-        rows_all.append(a_idx * p + ray_idx)
-        cols_all.append((iy[valid] * n + ix[valid]))
+        counts_all.append(np.count_nonzero(valid, axis=1))
+        cols_all.append(iy[valid] * n + ix[valid])
         vals_all.append(seg[valid])
 
-    m_total = p * len(angles)
-    coo = sp.coo_matrix(
-        (np.concatenate(vals_all),
-         (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(m_total, n * n),
-    )
-    return SystemMatrix(coo.tocsr(), detector_pixels=p, angles_deg=tuple(angles))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts_all))))
+    matrix = sp.csr_matrix((np.concatenate(vals_all), np.concatenate(cols_all), indptr),
+                           shape=(p * len(angles), n * n))
+    del cols_all, vals_all  # free the pieces before the transposed copy
+    return SystemMatrix(matrix, detector_pixels=p, angles_deg=tuple(angles))
 
 
 def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -202,6 +193,14 @@ def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) ->
     return system._matrix @ v
 
 
+def check_noise_level(noise_level: float) -> float:
+    """The relative noise level as a float; a negative level is rejected."""
+    level = float(noise_level)
+    if level < 0:
+        raise ValueError("noise level must be nonnegative")
+    return level
+
+
 def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> Sinogram:
     """Corrupt a clean sinogram with Gaussian noise of prescribed relative size.
 
@@ -209,9 +208,7 @@ def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> Sinogram:
     rescaled so that ||noise||_2 = noise_level * ||b_clean||_2.
     """
     b = np.asarray(b_clean, dtype=np.float64)
-    eps = float(noise_level)
-    if eps < 0:
-        raise ValueError("noise level must be nonnegative")
+    eps = check_noise_level(noise_level)
     if eps == 0.0:
         return Sinogram(b.copy(), 0.0, seed)
     draw = np.random.default_rng(seed).standard_normal(b.shape[0])

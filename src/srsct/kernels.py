@@ -21,7 +21,10 @@ from .geometry import SystemMatrix, apply
 
 _TINY = np.finfo(np.float64).tiny  # smallest positive normal double
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-BREGMAN_PENALTY_SCALE = 2.0  # split-Bregman penalty per unit of TV weight
+# Split-Bregman penalty of tv_prox, fixed whatever the TV weight; the
+# shrink threshold is weight / BREGMAN_PENALTY_SCALE, so weights near and
+# above 1 take many passes to converge.
+BREGMAN_PENALTY_SCALE = 2.0
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,14 @@ class Phantom:
         return len(self.class_means)
 
 
+def check_grid_side(grid_side: int) -> int:
+    """The grid side as an int; both phantoms need at least 16 pixels a side."""
+    n = int(grid_side)
+    if n < 16:
+        raise ValueError(f"grid side {n} is below 16, the smallest phantom")
+    return n
+
+
 def _unit_grid(n: int):
     # pixel-center coordinates in [0, 1]^2; u horizontal (cols), v vertical (rows)
     u = (np.arange(n) + 0.5) / n
@@ -45,9 +53,7 @@ def make_piecewise_phantom(grid_side: int) -> Phantom:
     with similar attenuation meet only along short straight edges, and the
     layout scales with the grid side.
     """
-    n = int(grid_side)
-    if n < 16:
-        raise ValueError("grid side below 16 cannot host all 8 regions")
+    n = check_grid_side(grid_side)
     uu, vv = _unit_grid(n)
     labels = np.ones((n, n), dtype=np.int64)
 
@@ -81,9 +87,7 @@ def make_smooth_phantom(grid_side: int) -> Phantom:
     skirts in between. True labels are assigned per pixel by the nearest
     class mean, ties going to the smaller class index.
     """
-    n = int(grid_side)
-    if n < 16:
-        raise ValueError("grid side below 16 is not supported")
+    n = check_grid_side(grid_side)
     uu, vv = _unit_grid(n)
 
     def bump(cu, cv, width):

@@ -1,6 +1,10 @@
 """Experiment harness: config handling, trial reports, artifacts, CLI."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +310,32 @@ class TestCli:
 
     def test_bad_sides_exit_one(self, tmp_path):
         assert main(["sweep", "--sides", "", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("args,cfg_line", [
+        (["run", "--n", "8"], None),
+        (["run", "--n", "1"], None),
+        (["run", "--noise", "-1", "--n", "16"], None),
+        (["sweep", "--sides", "100"], None),
+        (["run"], "detector_pixels = 0"),
+        (["run"], "angles = 0:6:180"),
+        (["run"], "prior_sigma = 0"),
+    ], ids=["n8", "n1", "negative-noise", "sweep-side-100", "zero-detector-pixels",
+            "zero-angle", "zero-prior-sigma"])
+    def test_bad_scan_settings_exit_one_before_any_trial(self, tmp_path, args, cfg_line):
+        out = tmp_path / "out"
+        argv = args + ["--trials", "1", "--out", str(out)]
+        if cfg_line is not None:
+            (tmp_path / "exp.cfg").write_text(cfg_line + "\n")
+            argv += ["--config", str(tmp_path / "exp.cfg")]
+        src = str(Path(sys.modules["srsct"].__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "srsct.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("srs: configuration error: "), run.stderr
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
 
     def test_partial_failure_exit_two(self, monkeypatch):
         import srsct.cli as cli

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srsct import (
     SystemMatrix,
@@ -122,6 +124,55 @@ class TestBuildGeometry:
     def test_invalid_parameters(self, n, p, angles):
         with pytest.raises(ValueError):
             build_parallel_geometry(n, p, angles)
+
+
+@st.composite
+def scan_angles(draw):
+    """Angle sets with exactly 90 and 180 degrees, angles within 1e-13 of an
+    axis, and free angles, in any order."""
+    near = [axis + (abs(d) if axis == 0.0 else -abs(d) if axis == 180.0 else d)
+            for axis, d in draw(st.lists(st.tuples(
+                st.sampled_from([0.0, 90.0, 180.0]),
+                st.floats(min_value=-1e-13, max_value=1e-13)), max_size=3))]
+    free = draw(st.lists(st.floats(min_value=1e-3, max_value=180.0), max_size=3))
+    return draw(st.permutations([90.0, 180.0] + [a for a in near if a > 0.0] + free))
+
+
+class TestProjectorProperties:
+    @given(st.integers(2, 24), st.integers(1, 40), scan_angles(),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_is_canonical_and_adjoint(self, n, p, angles, seed):
+        A = build_parallel_geometry(n, p, angles)
+        for mat in (A._matrix, A._matrix_t):
+            assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
+            assert mat.has_canonical_format and np.all(mat.data > 0.0)
+            row_of = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            same_row = row_of[1:] == row_of[:-1]
+            assert np.all(np.diff(mat.indices)[same_row] > 0)
+        np.testing.assert_array_equal(A._matrix_t.toarray(), A.toarray().T)
+
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(A.n)
+        y = rng.standard_normal(A.m)
+        lhs = apply(A, x) @ y
+        rhs = x @ apply(A, y, transposed=True)
+        scale = np.abs(A.toarray()) @ np.abs(x) @ np.abs(y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @given(st.integers(2, 24), st.integers(1, 40), scan_angles())
+    @settings(max_examples=60, deadline=None)
+    def test_row_sums_are_chord_lengths(self, n, p, angles):
+        A = build_parallel_geometry(n, p, angles)
+        sums = apply(A, np.ones(A.n))
+        spacing = n * math.sqrt(2.0) / p
+        half = n / 2.0
+        for a_idx, theta in enumerate(angles):
+            for i in range(p):
+                offset = (i - (p - 1) / 2.0) * spacing
+                origin, direction = ray_origin_direction(theta, offset)
+                chord = clip_segment_length(origin, direction, -half, half, -half, half)
+                assert sums[a_idx * p + i] == pytest.approx(chord, abs=1e-9)
 
 
 class TestApply:

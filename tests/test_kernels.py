@@ -187,6 +187,36 @@ class TestNormalizeToSimplex:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out > 0)
 
+    @staticmethod
+    def extreme_scores(seed, k, max_exponent):
+        """Coupling and multiplier entries of random sign and magnitudes
+        10^-300 .. 10^max_exponent, uniform in the exponent."""
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            return (rng.choice([-1.0, 1.0], size=(6, k))
+                    * 10.0 ** rng.uniform(-300.0, max_exponent, size=(6, k)))
+        return draw(), draw(), float(rng.uniform(0.1, 3.0))
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_scores_stay_positive_and_normalized(self, seed, k):
+        coupling, mult, penalty = self.extreme_scores(seed, k, 300.0)
+        out = normalize_to_simplex(coupling, mult, penalty, 1e-4)
+        assert np.all(out > 0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_large_scores_stay_strictly_interior(self, seed, k):
+        # scores below about 4e8 keep score / floor far under 1 / eps, so no
+        # entry can round up to 1; far above it the largest entry of a row
+        # comes out exactly 1.0
+        coupling, mult, penalty = self.extreme_scores(seed, k, 8.0)
+        out = normalize_to_simplex(coupling, mult, penalty, 1e-4)
+        assert np.all((out > 0) & (out < 1))
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
 
 class TestUpdateResponsibilities:
     def test_symmetric_classes_stay_uniform(self):
@@ -227,6 +257,24 @@ class TestUpdateResponsibilities:
         np.testing.assert_allclose(resp[0], [0.5, 0.5])
         assert fallbacks == 1
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_fallback_rows_exactly_uniform(self, seed, k):
+        # rows at a class mean keep a density far above the floor; rows 40
+        # widest deviations beyond every mean underflow (exp(-800) == 0)
+        rng = np.random.default_rng(seed)
+        prior = ClassPrior(rng.uniform(0.0, 1.0, k), 10.0 ** rng.uniform(-3.0, 0.0, k))
+        far = rng.random(12) < 0.5
+        edge = prior.means.max() + 40.0 * prior.std_devs.max()
+        x = np.where(far, edge * (1.0 + rng.uniform(0.0, 1e6, 12)),
+                     prior.means[rng.integers(0, k, 12)])
+        memb = rng.dirichlet(np.ones(k), size=12)
+        resp, fallbacks = update_responsibilities(x, memb, prior)
+        assert fallbacks == np.count_nonzero(far)
+        np.testing.assert_array_equal(resp[far], np.full((far.sum(), k), 1.0 / k))
+        assert np.all(resp > 0)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(5)
         prior = ClassPrior(np.arange(8) / 7.0, np.full(8, 0.1))
@@ -248,6 +296,20 @@ class TestImageGradient:
             lhs = (gh * ph).sum() + (gv * pv).sum()
             rhs = (a * image_gradient_adjoint(ph, pv)).sum()
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 16), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_adjointness_random_shapes(self, seed, n, k):
+        # k = 0 stands for a flat (n, n) field
+        rng = np.random.default_rng(seed)
+        shape = (n, n) if k == 0 else (n, n, k)
+        a, ph, pv = (rng.standard_normal(shape) for _ in range(3))
+        gh, gv = image_gradient(a)
+        adj = image_gradient_adjoint(ph, pv)
+        lhs = (gh * ph).sum() + (gv * pv).sum()
+        rhs = (a * adj).sum()
+        scale = np.abs(gh * ph).sum() + np.abs(gv * pv).sum() + np.abs(a * adj).sum()
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_constant_has_zero_gradient(self):
         gh, gv = image_gradient(np.full((4, 4), 2.5))
