@@ -25,16 +25,28 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
+
 # Direction components smaller than this are snapped to exactly zero so that
 # axis-aligned rays stay inside a single pixel row/column.
 _AXIS_SNAP = 1e-12
+# Fewest nonzeros in a row block of a split product. Below this, waking a
+# thread costs more than it saves: on two cores the 64x64 reference
+# projector (157,232 nonzeros) takes about 250 us in two blocks against
+# 180 us in one, while the 128x128 one (1.26M) gains about a quarter.
+MIN_BLOCK_NNZ = 250_000
 
 
 class SystemMatrix:
     """Immutable sparse CT projector in compressed row form.
 
     Stores the forward matrix and a CSR copy of its transpose so that both
-    products run at full sparse speed. Safe for concurrent read access.
+    products run at full sparse speed. Each is also cut into row blocks, one
+    per core that a product may use (`parallel.product_threads`), balanced by
+    nonzeros. A block holds at least MIN_BLOCK_NNZ nonzeros, so a small
+    matrix is one block, the matrix itself. The blocks' values and column
+    indices are views of the whole matrix's arrays. Safe for concurrent read
+    access.
     """
 
     def __init__(self, matrix: sp.csr_matrix, detector_pixels: int = 0,
@@ -44,6 +56,8 @@ class SystemMatrix:
         matrix.sort_indices()
         self._matrix = matrix
         self._matrix_t = matrix.T.tocsr()
+        self._blocks = _row_blocks(self._matrix)
+        self._blocks_t = _row_blocks(self._matrix_t)
         self.detector_pixels = int(detector_pixels)
         self.angles_deg = tuple(float(a) for a in angles_deg)
 
@@ -75,6 +89,31 @@ class SystemMatrix:
     def __repr__(self) -> str:
         return (f"SystemMatrix({self.m}x{self.n}, nnz={self._matrix.nnz}, "
                 f"p={self.detector_pixels}, angles={len(self.angles_deg)})")
+
+
+def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
+    """Consecutive row blocks of a canonical CSR matrix, balanced by nonzeros.
+
+    Each block's values and column indices are views of the matrix's; only
+    its row offsets are new. csr_matrix((data, indices, indptr)) would copy
+    a view shorter than half its base, so the arrays are set on an empty
+    block instead.
+    """
+    count = max(1, min(parallel.product_threads(), matrix.nnz // MIN_BLOCK_NNZ))
+    if count == 1:
+        return (matrix,)
+    indptr = matrix.indptr
+    cuts = np.searchsorted(indptr, np.arange(1, count) * (matrix.nnz / count))
+    bounds = [0, *cuts.tolist(), matrix.shape[0]]
+    blocks = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        first, last = indptr[start], indptr[stop]
+        block = sp.csr_matrix((stop - start, matrix.shape[1]), dtype=matrix.dtype)
+        block.data = matrix.data[first:last]
+        block.indices = matrix.indices[first:last]
+        block.indptr = indptr[start:stop + 1] - first
+        blocks.append(block)
+    return tuple(blocks)
 
 
 class Sinogram:
@@ -182,15 +221,22 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
 
 
 def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Sparse product with the system matrix or its transpose."""
+    """Sparse product with the system matrix or its transpose.
+
+    A matrix of several row blocks computes them at once, one on the calling
+    thread and the rest on the process's thread pool (`parallel.map_blocks`).
+    Each output entry is the same row sum in the same order as the whole
+    product's, so the result is bit-identical whatever the block count.
+    """
     v = np.asarray(vector, dtype=np.float64)
     expected = system.m if transposed else system.n
     if v.shape != (expected,):
         raise ValueError(f"vector length {v.shape} does not match operator "
                          f"({'transposed ' if transposed else ''}expects {expected})")
-    if transposed:
-        return system._matrix_t @ v
-    return system._matrix @ v
+    blocks = system._blocks_t if transposed else system._blocks
+    if len(blocks) == 1:
+        return blocks[0] @ v
+    return np.concatenate(parallel.map_blocks(lambda block: block @ v, blocks))
 
 
 def check_noise_level(noise_level: float) -> float:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import parallel
+
 
 def labels_from(memberships: np.ndarray) -> np.ndarray:
     """Per-pixel class labels (1-based) by row argmax; ties take the smaller index."""
@@ -13,8 +15,11 @@ def labels_from(memberships: np.ndarray) -> np.ndarray:
     return (np.argmax(field, axis=1) + 1).astype(np.int64)
 
 
+@parallel.one_blas_thread()
 def reconstruction_error(x: np.ndarray, x_true: np.ndarray) -> float:
-    """Relative error ||x - x_true|| / ||x||, normalized by the reconstruction."""
+    """Relative error ||x - x_true|| / ||x||, normalized by the reconstruction.
+    The norms run on one BLAS thread, as in a solve, so the last digit does
+    not depend on the thread count."""
     x = np.asarray(x, dtype=np.float64)
     x_true = np.asarray(x_true, dtype=np.float64)
     if x.shape != x_true.shape:

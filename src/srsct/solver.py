@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import parallel
 from .config import ClassPrior, SolverConfig, VARIANTS
 from .errors import DivergenceError
 from .geometry import Sinogram, SystemMatrix, apply
@@ -167,6 +168,7 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
                  "bregman_iterations": bregman_total}
 
 
+@parallel.one_blas_thread()
 def reconstruct_and_segment(problem: SrsProblem, cfg: SolverConfig,
                             variant: str = "model-16") -> SrsResult:
     """Run the full alternating scheme until the reconstruction stalls.
@@ -175,6 +177,12 @@ def reconstruct_and_segment(problem: SrsProblem, cfg: SolverConfig,
     reconstruction, the memberships and the responsibilities in that order
     and records both energies. Terminates when the relative change of the
     reconstruction drops below outer_tol or outer_max passes are reached.
+
+    The solve holds numpy's OpenBLAS at one thread (`parallel.one_blas_thread`)
+    and restores the previous count when it returns or raises. The pin is
+    process-wide while the solve runs. It leaves the other cores to the
+    projector's row blocks, and makes the result independent of the BLAS
+    thread count.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")

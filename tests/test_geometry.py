@@ -1,10 +1,13 @@
 """System matrix construction, products, and sinogram noise."""
 
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srsct import (
@@ -16,6 +19,8 @@ from srsct import (
 )
 
 import scipy.sparse as sp
+
+from srsct import geometry, parallel
 
 
 def ray_origin_direction(theta_deg, offset):
@@ -173,6 +178,112 @@ class TestProjectorProperties:
                 origin, direction = ray_origin_direction(theta, offset)
                 chord = clip_segment_length(origin, direction, -half, half, -half, half)
                 assert sums[a_idx * p + i] == pytest.approx(chord, abs=1e-9)
+
+    @given(st.integers(2, 24), st.integers(1, 40), scan_angles(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_row_has_per_pixel_lengths(self, n, p, angles, data):
+        row = data.draw(st.integers(0, p * len(angles) - 1), label="row")
+        theta = angles[row // p]
+        offset = (row % p - (p - 1) / 2.0) * n * math.sqrt(2.0) / p
+        half = n / 2.0
+        # a ray along a grid line borders two pixels: the projector's half-open
+        # pixels give it to one, the closed boxes of the oracle to both
+        near_axis = min(abs(math.sin(math.radians(theta))),
+                        abs(math.cos(math.radians(theta)))) < 1e-12
+        assume(not (near_axis and (offset + half) % 1.0 == 0.0))
+        A = build_parallel_geometry(n, p, angles)
+        lengths = A._matrix.getrow(row).toarray().reshape(n, n)
+        origin, direction = ray_origin_direction(theta, offset)
+        for iy in range(n):
+            for ix in range(n):
+                expected = clip_segment_length(origin, direction,
+                                               ix - half, ix + 1 - half,
+                                               iy - half, iy + 1 - half)
+                assert lengths[iy, ix] == pytest.approx(expected, abs=1e-9)
+
+
+def fork_apply(system, vector, transposed):
+    return apply(system, vector, transposed)
+
+
+@pytest.fixture
+def split_scan(monkeypatch):
+    """The 64x64 reference scan cut into three row blocks: the block floor
+    is lowered and three product threads are assumed, whatever the host."""
+    monkeypatch.setattr(geometry, "MIN_BLOCK_NNZ", 1)
+    monkeypatch.setattr(parallel, "product_threads", lambda: 3)
+    return build_parallel_geometry(64, 91, [6.0 * k for k in range(1, 31)])
+
+
+class TestRowBlocks:
+    def test_reference_scan_stays_one_block(self):
+        A = build_parallel_geometry(64, 91, [6.0 * k for k in range(1, 31)])
+        assert A._blocks == (A._matrix,) and A._blocks_t == (A._matrix_t,)
+
+    def test_products_equal_the_whole_matrix_bit_for_bit(self, split_scan):
+        A = split_scan
+        assert len(A._blocks) == len(A._blocks_t) == 3
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            u = rng.standard_normal(A.n)
+            v = rng.standard_normal(A.m)
+            assert np.array_equal(apply(A, u), A._matrix @ u)
+            assert np.array_equal(apply(A, v, transposed=True), A._matrix_t @ v)
+
+    def test_blocks_are_views_balanced_by_nonzeros(self, split_scan):
+        for whole, blocks in ((split_scan._matrix, split_scan._blocks),
+                              (split_scan._matrix_t, split_scan._blocks_t)):
+            longest_row = np.diff(whole.indptr).max()
+            share = whole.nnz / len(blocks)
+            for block in blocks:
+                assert np.shares_memory(block.data, whole.data)
+                assert np.shares_memory(block.indices, whole.indices)
+                assert abs(block.nnz - share) <= longest_row
+            assert sum(block.shape[0] for block in blocks) == whole.shape[0]
+            np.testing.assert_array_equal(sp.vstack(blocks).toarray(), whole.toarray())
+
+    def test_concurrent_pins_and_split_products(self, split_scan):
+        # more threads than cores, each pinning the BLAS and splitting products
+        A = split_scan
+        v = np.random.default_rng(7).standard_normal(A.n)
+        expected = A._matrix @ v
+        blas_threads = parallel._BLAS[0] if parallel._BLAS else (lambda: None)
+        before = blas_threads()
+        failures = []
+
+        def worker():
+            for _ in range(30):
+                with parallel.one_blas_thread():
+                    if blas_threads() not in (None, 1):
+                        failures.append("pin lost")
+                    if not np.array_equal(apply(A, v), expected):
+                        failures.append("product differs")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert blas_threads() == before
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_worker_applies_after_the_parent_used_the_pool(self, split_scan):
+        A = split_scan
+        rng = np.random.default_rng(6)
+        u, v = rng.standard_normal(A.n), rng.standard_normal(A.m)
+        expected = (apply(A, u), apply(A, v, transposed=True))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = (pool.apply_async(fork_apply, (A, u, False)).get(timeout=60),
+                   pool.apply_async(fork_apply, (A, v, True)).get(timeout=60))
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
 
 
 class TestApply:

@@ -1,6 +1,10 @@
 """Membership ADMM, energies, and the outer alternating loop."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from srsct import (
     solve_membership_subproblem,
     update_responsibilities,
 )
+from srsct import parallel, solver
 from srsct.geometry import add_noise
 from srsct.kernels import image_gradient, total_variation
 
@@ -300,3 +305,79 @@ class TestReconstructAndSegment:
             values[3] = bad
             with pytest.raises(ValueError, match="finite"):
                 SrsProblem(system, Sinogram(values), prior, n)
+
+
+def small_problem(divergent=False):
+    n = 16
+    ph = make_piecewise_phantom(n)
+    system = build_parallel_geometry(n, 23, [45.0, 90.0, 135.0, 180.0])
+    sino = (Sinogram(np.full(system.m, 1e300)) if divergent
+            else add_noise(apply(system, ph.image), 0.0, 0))
+    return SrsProblem(system, sino, ClassPrior(ph.class_means, np.full(8, 0.1)), n)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS set to two threads for the test and reset after it; yields
+    the function that reads the count."""
+    if parallel._BLAS is None:
+        pytest.skip("numpy's BLAS exposes no thread control")
+    get, put = parallel._BLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+# A smooth 128x128 scan: the CGLS vectors have more than 10,000 entries, where
+# a threaded BLAS dot product sums in a different order.
+REPRODUCE = """
+import sys
+import numpy as np
+import srsct
+n = 128
+ph = srsct.make_smooth_phantom(n)
+system = srsct.build_parallel_geometry(n, 182, [6.0 * k for k in range(1, 31)])
+sino = srsct.add_noise(srsct.apply(system, ph.image), 0.01, 4000)
+prior = srsct.ClassPrior(ph.class_means, np.full(ph.n_classes, 0.05))
+cfg = srsct.SolverConfig(data_weight=123.0, tv_weight=0.55, tikhonov_weight=35.0,
+                         tv_split_penalty=0.6, simplex_split_penalty=0.6,
+                         outer_max=2, cgls_max=20, admm_max=5)
+result = srsct.reconstruct_and_segment(srsct.SrsProblem(system, sino, prior, n), cfg)
+np.savez(sys.argv[1], x=result.x, memberships=result.memberships)
+"""
+
+
+class TestBlasPin:
+    def test_solve_holds_one_thread_and_restores_the_count(self, blas_threads, monkeypatch):
+        seen = []
+        real = solver.update_responsibilities
+
+        def spy(*args):
+            seen.append(blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(solver, "update_responsibilities", spy)
+        reconstruct_and_segment(small_problem(), SolverConfig(outer_max=2), "model-9")
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_count_restored_after_divergence(self, blas_threads):
+        with pytest.raises(DivergenceError):
+            reconstruct_and_segment(small_problem(divergent=True), SolverConfig(outer_max=3),
+                                    "model-9")
+        assert blas_threads() == 2
+
+    def test_result_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(sys.modules["srsct"].__file__).parents[1])
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            path = tmp_path / f"threads{threads}.npz"
+            run = subprocess.run([sys.executable, "-c", REPRODUCE, str(path)], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            results.append(np.load(path))
+        for name in ("x", "memberships"):
+            assert np.array_equal(results[0][name], results[1][name]), name
