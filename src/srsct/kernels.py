@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,55 +83,134 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
 # Closed-form ADMM field updates
 # ----------------------------------------------------------------------
 
+class CouplingWork(NamedTuple):
+    """The terms of `update_coupling` that stay fixed while the
+    responsibilities and the penalties do, what they were formed from, and
+    its scratch buffers."""
+
+    responsibilities: np.ndarray  # the field the terms were formed from
+    penalties: tuple[float, float]  # (g1, g2)
+    four_phi_g: np.ndarray   # 4 * resp * (g1 + g2)
+    two_phi: np.ndarray      # 2 * resp
+    lin: np.ndarray          # scratch: the linear part c
+    disc: np.ndarray         # scratch: the discriminant root, then disc - c
+    conj_mask: np.ndarray    # scratch: where the conjugate form applies
+    pos_mask: np.ndarray     # scratch
+
+
+def coupling_work(responsibilities: np.ndarray, tv_split_penalty: float,
+                  simplex_split_penalty: float) -> CouplingWork:
+    """Form the fixed terms of `update_coupling` once, for a caller (the
+    membership ADMM) that calls it many times at the same responsibilities
+    and penalties."""
+    g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
+    if g1 <= 0 or g2 <= 0:
+        raise ValueError("split penalties must be positive")
+    resp = np.asarray(responsibilities, dtype=np.float64)
+    return CouplingWork(responsibilities, (g1, g2),
+                        4.0 * resp * (g1 + g2), 2.0 * resp,
+                        np.empty_like(resp), np.empty_like(resp),
+                        np.empty(resp.shape, dtype=bool), np.empty(resp.shape, dtype=bool))
+
+
 def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
                     mult_tv: np.ndarray, mult_simplex: np.ndarray,
                     responsibilities: np.ndarray,
-                    tv_split_penalty: float, simplex_split_penalty: float) -> np.ndarray:
+                    tv_split_penalty: float, simplex_split_penalty: float,
+                    *, out: np.ndarray | None = None,
+                    work: CouplingWork | None = None) -> np.ndarray:
     """Positive root of the per-entry stationarity condition of the coupling
     field: the unique eta > 0 with
     -resp/eta + g1*(eta - memb) - mult_tv + g2*(eta - simp) + mult_simplex = 0.
 
     Uses the conjugate form of the quadratic formula when the linear part is
-    negative to avoid cancellation.
+    not positive to avoid cancellation; an entry whose conjugate denominator
+    is zero (zero responsibility and zero linear part) comes out 0.
+
+    The result is written into `out` when given. `work` must come from
+    `coupling_work` called with this same responsibilities array and these
+    penalties, or the call raises ValueError; without it the call forms
+    those terms itself.
     """
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("split penalties must be positive")
-    c = g1 * memberships + mult_tv + g2 * simplex_field - mult_simplex
-    disc = np.sqrt(c * c + 4.0 * responsibilities * (g1 + g2))
-    conj_denom = disc - c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conj = np.where(conj_denom > 0.0, 2.0 * responsibilities / conj_denom, 0.0)
-    return np.where(c > 0.0, (c + disc) / (2.0 * (g1 + g2)), conj)
+    if work is None:
+        work = coupling_work(responsibilities, g1, g2)
+    elif work.responsibilities is not responsibilities or work.penalties != (g1, g2):
+        raise ValueError("work was formed from other responsibilities or penalties")
+    c, disc = work.lin, work.disc
+    np.multiply(g1, memberships, out=c)
+    c += mult_tv
+    np.multiply(g2, simplex_field, out=disc)
+    c += disc
+    c -= mult_simplex
+    np.multiply(c, c, out=disc)
+    disc += work.four_phi_g
+    np.sqrt(disc, out=disc)
+    # the root for c > 0 everywhere, then the conjugate form where c <= 0
+    # and its denominator disc - c is positive
+    out = np.add(c, disc, out=out)
+    out /= 2.0 * (g1 + g2)
+    np.subtract(disc, c, out=disc)
+    np.less_equal(c, 0.0, out=work.conj_mask)
+    np.greater(disc, 0.0, out=work.pos_mask)
+    np.logical_and(work.conj_mask, work.pos_mask, out=work.conj_mask)
+    np.divide(work.two_phi, disc, out=out, where=work.conj_mask)
+    return out
 
 
 def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
-                         simplex_split_penalty: float, floor: float) -> np.ndarray:
-    """Clamped row normalization: floor the scores, then divide by the row sum."""
+                         simplex_split_penalty: float, floor: float,
+                         *, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamped row normalization: floor the scores, then divide by the row
+    sum. The result is written into `out` when given.
+
+    Every entry stays positive for any finite scores. Entries stay strictly
+    below 1 only while a row's largest score is under about floor / eps
+    (1e-4 / 2.2e-16 at the solver's floor); beyond that the largest entry
+    rounds to exactly 1. The membership ADMM's scores are O(1).
+    """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    scores = np.maximum(simplex_split_penalty * coupling + mult_simplex, floor)
-    return scores / scores.sum(axis=-1, keepdims=True)
+    if out is None:
+        # the shape and dtype of the allocating expression, which turns
+        # integer scores into floats
+        out = np.empty(np.broadcast_shapes(np.shape(coupling), np.shape(mult_simplex)),
+                       dtype=np.result_type(simplex_split_penalty, coupling,
+                                            mult_simplex, floor, 1.0))
+    scores = np.multiply(simplex_split_penalty, coupling, out=out)
+    scores += mult_simplex
+    np.maximum(scores, floor, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 # ----------------------------------------------------------------------
 # Discrete gradient with replicated boundary
 # ----------------------------------------------------------------------
 
-def image_gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def image_gradient(field: np.ndarray,
+                   out: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences along columns and rows; the replicated boundary
     makes the last difference in each direction zero. `field` has shape
-    (n, n) or (n, n, K)."""
-    gh = np.zeros_like(field)
-    gv = np.zeros_like(field)
-    gh[:, :-1, ...] = field[:, 1:, ...] - field[:, :-1, ...]
-    gv[:-1, ...] = field[1:, ...] - field[:-1, ...]
+    (n, n) or (n, n, K). The pair is written into `out` when given."""
+    gh, gv = (np.empty_like(field), np.empty_like(field)) if out is None else out
+    np.subtract(field[:, 1:, ...], field[:, :-1, ...], out=gh[:, :-1, ...])
+    gh[:, -1, ...] = 0.0
+    np.subtract(field[1:, ...], field[:-1, ...], out=gv[:-1, ...])
+    gv[-1, ...] = 0.0
     return gh, gv
 
 
-def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(gh)
-    out[:, :-1, ...] -= gh[:, :-1, ...]
+def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of `image_gradient`, written into `out` when given."""
+    if out is None:
+        out = np.empty_like(gh)
+    # 0 - gh, as an accumulation into zeros would form it (a plain negation
+    # would turn +0 into -0)
+    np.subtract(0.0, gh[:, :-1, ...], out=out[:, :-1, ...])
+    out[:, -1, ...] = 0.0
     out[:, 1:, ...] += gh[:, :-1, ...]
     out[:-1, ...] -= gv[:-1, ...]
     out[1:, ...] += gv[:-1, ...]
@@ -168,21 +248,88 @@ def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return basis, eig
 
 
-def _apply_along_grid(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """mat applied along axis 0 and axis 1 of an (n, n, K) stack."""
+def _apply_along_grid(mat: np.ndarray, u: np.ndarray, work: np.ndarray) -> None:
+    """mat applied along axis 0 and axis 1 of an (n, n, K) stack, in place;
+    `work` is scratch of the same shape."""
     n = u.shape[0]
-    return mat @ (mat @ u.reshape(n, -1)).reshape(u.shape)
+    np.matmul(mat, u.reshape(n, -1), out=work.reshape(n, -1))
+    np.matmul(mat, work, out=u)
 
 
-def _shrink(ah: np.ndarray, av: np.ndarray, thresh: float) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic shrinkage of the gradient pair (ah, av) by thresh."""
-    mag = np.sqrt(ah * ah + av * av)
-    factor = np.maximum(mag - thresh, 0.0) / np.where(mag > 0.0, mag, 1.0)
-    return factor * ah, factor * av
+def relative_change(new: np.ndarray, prev: np.ndarray, scratch: np.ndarray) -> float:
+    """||new - prev|| / ||prev|| in the Frobenius norm, inf when prev is
+    zero. The difference is formed in `scratch`, which may be `prev`."""
+    denom = np.linalg.norm(prev)
+    return np.linalg.norm(np.subtract(new, prev, out=scratch)) / denom if denom > 0.0 else np.inf
+
+
+class BregmanState:
+    """Warm state of `tv_prox` on an (n, n, K) stack.
+
+    `u` is the iterate, (`dh`, `dv`) the shrunk gradient and (`bh`, `bv`)
+    the Bregman variable. The state also owns the scratch that every pass
+    writes into: two spare iterates and one work buffer, all of the same
+    shape. A call given a state updates it in place and allocates nothing.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.dh, self.dv, self.bh, self.bv = (np.zeros_like(u) for _ in range(4))
+        self.spares = [np.empty_like(u), np.empty_like(u)]
+        self.work = np.empty_like(u)
+
+
+def _shrink_step(st: BregmanState, thresh: float) -> None:
+    """Isotropic shrinkage of the pair held in (bh, bv) by thresh into
+    (dh, dv), then b <- (bh, bv) - d: the Bregman update reuses the sum
+    grad u + b that the shrink is applied to."""
+    mag = st.work
+    np.multiply(st.bh, st.bh, out=mag)
+    np.multiply(st.bv, st.bv, out=st.dh)
+    mag += st.dh
+    np.sqrt(mag, out=mag)
+    factor = st.dh
+    np.subtract(mag, thresh, out=factor)
+    np.maximum(factor, 0.0, out=factor)
+    # the factor is 0 wherever mag < thresh, so flooring the divisor at
+    # thresh changes no quotient and needs no test for mag = 0
+    np.maximum(mag, thresh, out=mag)
+    factor /= mag
+    np.multiply(factor, st.bv, out=st.dv)
+    np.multiply(factor, st.bh, out=st.dh)
+    st.bh -= st.dh
+    st.bv -= st.dv
+
+
+def _bregman_pass(v: np.ndarray, st: BregmanState, out: np.ndarray,
+                  basis: np.ndarray, eig: np.ndarray, scale: float,
+                  thresh: float) -> float:
+    """One split-Bregman pass from st.u, writing the new iterate into `out`
+    and updating (dh, dv, bh, bv) in place; st.u is left as it was. Returns
+    the relative change of the iterate."""
+    u, work = st.u, st.work
+    # rhs = v + scale * grad^T (d - b); d - b is formed in d's buffers, which
+    # the pass overwrites below
+    st.dh -= st.bh
+    st.dv -= st.bv
+    image_gradient_adjoint(st.dh, st.dv, out=out)
+    out *= scale
+    np.add(v, out, out=out)
+    _apply_along_grid(basis, out, work)
+    out /= eig
+    _apply_along_grid(basis.T, out, work)
+
+    rel = relative_change(out, u, work)
+
+    image_gradient(out, out=(st.dh, st.dv))
+    st.bh += st.dh
+    st.bv += st.dv
+    _shrink_step(st, thresh)
+    return rel
 
 
 def tv_prox(field: np.ndarray, weight: float, grid_side: int,
-            cfg: SolverConfig, state: tuple | None = None) -> tuple[np.ndarray, dict]:
+            cfg: SolverConfig, state: BregmanState | None = None) -> tuple[np.ndarray, dict]:
     """Approximate minimizer of weight * TV(u) + 0.5 * ||u - field||^2.
 
     Split Bregman with an auxiliary gradient variable and isotropic
@@ -197,56 +344,54 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
 
     Passing the `state` from a previous call's info dict warm starts the
     iteration; callers that solve a sequence of nearby targets (the
-    membership ADMM) converge in a couple of passes that way.
+    membership ADMM) converge in a couple of passes that way. Such a call
+    updates that `BregmanState` in place and returns the same object, and
+    the returned field is a view of its iterate, which the next call given
+    the state overwrites. The call leaves the buffer of the iterate it
+    started from unchanged, so a caller may still compare the new iterate
+    with the previous call's result. A cold call (no state) and a constant
+    input return a fresh state.
     """
-    if weight <= 0:
+    scale = BREGMAN_PENALTY_SCALE
+    thresh = weight / scale
+    if not thresh > 0.0:  # also rejects a NaN weight
         raise ValueError("weight must be positive")
     v_in = np.asarray(field, dtype=np.float64)
-    if not np.all(np.isfinite(v_in)):
+    lo, hi = v_in.min(), v_in.max()  # both propagate NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("input must be finite")
     n = int(grid_side)
     v = v_in.reshape(n, n, -1)
 
-    if np.ptp(v_in) == 0.0:  # constant input: TV is zero, v is the exact prox
-        zh = np.zeros_like(v)
-        return v_in.copy(), {"iterations": 0,
-                             "state": (v.copy(), zh, zh.copy(), zh.copy(), zh.copy())}
+    if lo == hi:  # constant input: TV is zero, v is the exact prox
+        return v_in.copy(), {"iterations": 0, "state": BregmanState(v.copy())}
 
-    scale = BREGMAN_PENALTY_SCALE
-    thresh = weight / scale
     basis, eig = _neumann_basis(n, scale)
 
-    if state is not None:
-        u, dh, dv, bh, bv = (np.array(part, copy=True) for part in state)
-    else:
-        u = v.copy()
+    if state is None:
         # seed the shrinkage pair from the input's gradients; the first
         # inner solve with this seed would leave u untouched, so the loop
         # starts directly at the solve for the seeded pair
-        gh, gv = image_gradient(u)
-        dh, dv = _shrink(gh, gv, thresh)
-        bh = gh - dh
-        bv = gv - dv
+        state = BregmanState(v.copy())
+        image_gradient(state.u, out=(state.bh, state.bv))
+        _shrink_step(state, thresh)
 
+    # each pass writes into a spare that is not the starting iterate, so
+    # the previous call's result stays intact through the call
+    start = state.u
     iterations = 0
     for iterations in range(1, cfg.bregman_max + 1):
-        u_prev = u
-        rhs = v + scale * image_gradient_adjoint(dh - bh, dv - bv)
-        u = _apply_along_grid(basis.T, _apply_along_grid(basis, rhs) / eig)
-
-        gh, gv = image_gradient(u)
-        dh, dv = _shrink(gh + bh, gv + bv, thresh)
-        bh += gh
-        bh -= dh
-        bv += gv
-        bv -= dv
-
-        denom = np.linalg.norm(u_prev)
-        if denom > 0.0 and np.linalg.norm(u - u_prev) / denom < cfg.bregman_tol:
+        out = state.spares.pop()
+        rel = _bregman_pass(v, state, out, basis, eig, scale, thresh)
+        if state.u is not start:
+            state.spares.append(state.u)
+        state.u = out
+        if rel < cfg.bregman_tol:
             break
+    if state.u is not start:
+        state.spares.append(start)
 
-    return u.reshape(v_in.shape), {"iterations": iterations,
-                                   "state": (u, dh, dv, bh, bv)}
+    return state.u.reshape(v_in.shape), {"iterations": iterations, "state": state}
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,10 @@ from .config import ClassPrior, SolverConfig, VARIANTS
 from .errors import DivergenceError
 from .geometry import Sinogram, SystemMatrix, apply
 from .kernels import (
+    coupling_work,
     image_gradient,
     normalize_to_simplex,
+    relative_change,
     solve_reconstruction,
     total_variation,
     tv_prox,
@@ -122,16 +124,22 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     start at zero; the TV and simplex blocks warm start from the previous
     membership field. Stops on the relative change of the TV block or after
     admm_max iterations, and returns the simplex block, which is strictly
-    feasible by construction.
+    feasible by construction. Raises DivergenceError, naming the iteration,
+    once an iterate is no longer finite.
+
+    The fields are allocated once per call, the ADMM's before the first
+    iteration and the TV prox's state by its first call, and every
+    iteration updates them in place.
     """
     phi = np.asarray(responsibilities, dtype=np.float64)
     if phi.ndim != 2 or np.any(phi < 0.0):
         raise ValueError("responsibilities must be a nonnegative (N, K) field")
-    delta = np.asarray(memberships_init, dtype=np.float64).copy()
+    delta = np.array(memberships_init, dtype=np.float64)
     eta = delta.copy()
     psi = delta.copy()
     lam_tv = np.zeros_like(delta)
     lam_simplex = np.zeros_like(delta)
+    target = np.empty_like(delta)
     g1 = cfg.tv_split_penalty
     g2 = cfg.simplex_split_penalty
 
@@ -139,27 +147,41 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     bregman_total = 0
     rel = np.inf
     tv_state = None
-    for iterations in range(1, cfg.admm_max + 1):
-        delta_prev = delta
-        target = eta - lam_tv / g1
-        if cfg.tv_weight > 0.0:
-            delta, tv_info = tv_prox(target, cfg.tv_weight / g1, grid_side, cfg,
-                                     state=tv_state)
-            tv_state = tv_info["state"]
-            bregman_total += tv_info["iterations"]
-        else:
-            delta = target
-        eta = update_coupling(delta, psi, lam_tv, lam_simplex, phi, g1, g2)
-        psi = normalize_to_simplex(eta, lam_simplex, g2, SIMPLEX_FLOOR)
-        lam_tv = lam_tv + g1 * (delta - eta)
-        lam_simplex = lam_simplex + g2 * (eta - psi)
+    # overflow and NaN are caught by the finiteness test on each target
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = coupling_work(phi, g1, g2)
+        for iterations in range(1, cfg.admm_max + 1):
+            delta_prev = delta
+            np.divide(lam_tv, g1, out=target)
+            np.subtract(eta, target, out=target)
+            if not math.isfinite(target.sum()):
+                raise DivergenceError(f"membership ADMM produced non-finite values "
+                                      f"at iteration {iterations}")
+            if cfg.tv_weight > 0.0:
+                delta, tv_info = tv_prox(target, cfg.tv_weight / g1, grid_side, cfg,
+                                         state=tv_state)
+                tv_state = tv_info["state"]
+                bregman_total += tv_info["iterations"]
+            else:
+                delta, target = target, delta
+            # tv_prox leaves delta_prev's values intact; nothing reads them
+            # after this, so the difference is formed in place
+            rel = relative_change(delta, delta_prev, delta_prev)
+            # from here `target` is free and serves as scratch
+            update_coupling(delta, psi, lam_tv, lam_simplex, phi, g1, g2,
+                            out=eta, work=coupling)
+            normalize_to_simplex(eta, lam_simplex, g2, SIMPLEX_FLOOR, out=psi)
+            np.subtract(delta, eta, out=target)
+            target *= g1
+            lam_tv += target
+            np.subtract(eta, psi, out=target)
+            target *= g2
+            lam_simplex += target
 
-        # the TV block is computed from the previous duals, so its change is
-        # only meaningful once those have moved at least once
-        denom = np.linalg.norm(delta_prev)
-        rel = np.linalg.norm(delta - delta_prev) / denom if denom > 0 else np.inf
-        if iterations > 1 and rel < cfg.admm_tol:
-            break
+            # the TV block is computed from the previous duals, so its change
+            # is only meaningful once those have moved at least once
+            if iterations > 1 and rel < cfg.admm_tol:
+                break
 
     if not np.all(np.isfinite(psi)):
         raise DivergenceError(f"membership ADMM produced non-finite values "

@@ -32,7 +32,7 @@ from srsct import (
     update_coupling,
     update_responsibilities,
 )
-from srsct.kernels import BREGMAN_PENALTY_SCALE, _neumann_basis
+from srsct.kernels import BREGMAN_PENALTY_SCALE, BregmanState, _neumann_basis, coupling_work
 
 
 def tv_objective(u, v, weight, n):
@@ -136,6 +136,13 @@ class TestUpdateCoupling:
         c = 1.5 * 0.4 + 0.5 * 0.6
         assert eta[0, 0] == pytest.approx(c / 2.0, rel=1e-14)
 
+    def test_zero_responsibility_without_positive_linear_part_is_zero(self):
+        # linear parts -0.3 and exactly 0: the conjugate denominators are 0.6
+        # and 0, and both entries come out 0 without a warning
+        eta = update_coupling(np.zeros((1, 2)), np.zeros((1, 2)), np.array([[-0.3, 0.0]]),
+                              np.zeros((1, 2)), np.zeros((1, 2)), 1.0, 2.0)
+        assert np.array_equal(eta, [[0.0, 0.0]])
+
     def test_unit_case_frozen(self):
         eta = update_coupling(np.array([[0.5]]), np.array([[0.5]]),
                               np.zeros((1, 1)), np.zeros((1, 1)),
@@ -158,11 +165,34 @@ class TestUpdateCoupling:
             residual = -resp / eta + g1 * (eta - memb) - l1 + g2 * (eta - simp) + l2
             assert np.abs(residual).max() < 1e-10
 
+    def test_work_matches_a_call_without_it(self):
+        rng = np.random.default_rng(11)
+        memb, simp, resp = (rng.dirichlet(np.ones(3), size=12) for _ in range(3))
+        l1, l2 = rng.standard_normal((2, 12, 3))
+        work = coupling_work(resp, 0.7, 1.3)
+        out = np.empty_like(memb)
+        eta = update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3, out=out, work=work)
+        assert eta is out
+        assert np.array_equal(eta, update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3))
+
+    def test_work_from_other_inputs_rejected(self):
+        rng = np.random.default_rng(12)
+        memb, simp, resp = (rng.dirichlet(np.ones(3), size=12) for _ in range(3))
+        zeros = np.zeros_like(memb)
+        work = coupling_work(resp, 0.7, 1.3)
+        for args in [(resp.copy(), 0.7, 1.3), (resp, 0.7, 2.0), (resp, 2.0, 1.3)]:
+            with pytest.raises(ValueError, match="other responsibilities or penalties"):
+                update_coupling(memb, simp, zeros, zeros, *args, work=work)
+
 
 class TestNormalizeToSimplex:
     def test_already_normalized(self):
         out = normalize_to_simplex(np.array([[0.3, 0.7]]), np.zeros((1, 2)), 1.0, 1e-4)
         np.testing.assert_allclose(out, [[0.3, 0.7]], atol=1e-15)
+
+    def test_integer_scores(self):
+        assert np.array_equal(normalize_to_simplex(np.array([[1, 3]]), np.zeros((1, 2)), 1, 1e-4),
+                              [[0.25, 0.75]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -376,6 +406,113 @@ class TestTvProx:
             tv_prox(np.ones(16), 0.0, 4, SolverConfig())
         with pytest.raises(ValueError):
             tv_prox(np.full(16, np.inf), 1.0, 4, SolverConfig())
+
+
+def allocating_tv_prox(v_flat, weight, n, cfg, state=None):
+    """The split-Bregman prox as a plain allocating loop over the public
+    gradient pair, with the state as a tuple (u, dh, dv, bh, bv) of fresh
+    arrays. Kept as the reference that the in-place passes must match bit
+    for bit."""
+    scale = BREGMAN_PENALTY_SCALE
+    thresh = weight / scale
+    basis, eig = _neumann_basis(n, scale)
+    v = v_flat.reshape(n, n, -1)
+
+    def along_grid(mat, u):
+        return mat @ (mat @ u.reshape(n, -1)).reshape(u.shape)
+
+    def shrink(ah, av):
+        mag = np.sqrt(ah * ah + av * av)
+        factor = np.maximum(mag - thresh, 0.0) / np.where(mag > 0.0, mag, 1.0)
+        return factor * ah, factor * av
+
+    if state is None:
+        u = v.copy()
+        gh, gv = image_gradient(u)
+        dh, dv = shrink(gh, gv)
+        bh, bv = gh - dh, gv - dv
+    else:
+        u, dh, dv, bh, bv = (part.copy() for part in state)
+    for iterations in range(1, cfg.bregman_max + 1):
+        u_prev = u
+        rhs = v + scale * image_gradient_adjoint(dh - bh, dv - bv)
+        u = along_grid(basis.T, along_grid(basis, rhs) / eig)
+        gh, gv = image_gradient(u)
+        dh, dv = shrink(gh + bh, gv + bv)
+        bh = bh + gh - dh
+        bv = bv + gv - dv
+        denom = np.linalg.norm(u_prev)
+        if denom > 0.0 and np.linalg.norm(u - u_prev) / denom < cfg.bregman_tol:
+            break
+    return u.reshape(v_flat.shape), iterations, (u, dh, dv, bh, bv)
+
+
+def state_arrays(state):
+    return (state.u, state.dh, state.dv, state.bh, state.bv)
+
+
+def state_buffers(state):
+    return [*state_arrays(state), *state.spares, state.work]
+
+
+class TestTvProxInPlace:
+    @pytest.mark.parametrize("bregman_max", [1, 2, 5, 200])
+    def test_bit_identical_to_the_allocating_loop(self, bregman_max):
+        # a cold call, then warm calls on nearby targets, as the ADMM makes them
+        rng = np.random.default_rng(31)
+        n = 8
+        cfg = SolverConfig(bregman_max=bregman_max)
+        v = rng.standard_normal((n * n, 3))
+        state = ref_state = None
+        for _ in range(4):
+            out, info = tv_prox(v, 0.7, n, cfg, state=state)
+            ref, ref_iters, ref_state = allocating_tv_prox(v, 0.7, n, cfg, ref_state)
+            state = info["state"]
+            assert np.array_equal(out, ref)
+            assert info["iterations"] == ref_iters
+            for mine, theirs in zip(state_arrays(state), ref_state):
+                assert np.array_equal(mine, theirs)
+            v = v + 0.05 * rng.standard_normal(v.shape)
+
+    def test_warm_call_updates_its_state_in_place(self):
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((64, 2))
+        cfg = SolverConfig(bregman_max=3, bregman_tol=1e-12)
+        _, cold = tv_prox(v, 0.4, 8, cfg)
+        state = cold["state"]
+        start = state.u
+        buffers = {id(buf) for buf in state_buffers(state)}
+        before = [part.copy() for part in state_arrays(state)]
+        out, warm = tv_prox(v + 0.1, 0.4, 8, cfg, state=state)
+        assert warm["state"] is state
+        assert warm["iterations"] == 3
+        # the same buffers, rotated among u and the spares, and no new ones
+        assert {id(buf) for buf in state_buffers(state)} == buffers
+        assert np.shares_memory(out, state.u)
+        for old, new in zip(before, state_arrays(state)):
+            assert not np.array_equal(old, new)
+        # three passes, and the iterate they started from is still intact
+        assert start is not state.u
+        assert np.array_equal(start, before[0])
+
+    def test_cold_and_constant_calls_return_fresh_state(self):
+        rng = np.random.default_rng(14)
+        v = rng.standard_normal((64, 2))
+        cfg = SolverConfig()
+        out, cold = tv_prox(v, 0.4, 8, cfg)
+        given = cold["state"]
+        assert isinstance(given, BregmanState)
+        assert not any(np.shares_memory(buf, v) for buf in state_buffers(given))
+        before = [buf.copy() for buf in state_arrays(given)]
+        flat = np.full((64, 2), 0.3)
+        out, const = tv_prox(flat, 0.4, 8, cfg, state=given)
+        assert const["iterations"] == 0 and np.array_equal(out, flat)
+        fresh = const["state"]
+        assert fresh is not given
+        assert not any(np.shares_memory(a, b) for a in state_buffers(fresh)
+                       for b in [*state_buffers(given), flat, out])
+        for old, buf in zip(before, state_arrays(given)):
+            assert np.array_equal(old, buf)
 
 
 class TestTvProxInnerSolve:

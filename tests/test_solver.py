@@ -22,8 +22,11 @@ from srsct import (
     joint_energy,
     make_piecewise_phantom,
     marginal_energy,
+    normalize_to_simplex,
     reconstruct_and_segment,
     solve_membership_subproblem,
+    tv_prox,
+    update_coupling,
     update_responsibilities,
 )
 from srsct import parallel, solver
@@ -95,6 +98,76 @@ class TestMembershipSubproblem:
                                              SolverConfig(), n)
         assert (total_variation(out.reshape(n, n, 2))
                 < total_variation(resp.reshape(n, n, 2)))
+
+
+def allocating_admm(resp, init, cfg, n):
+    """The membership ADMM as a plain allocating loop: every iterate is a
+    fresh array, and the relative change of the TV block is formed from
+    its own norms on every iteration. Kept as the reference that the
+    in-place solver must match bit for bit."""
+    delta = init.copy()
+    eta = delta.copy()
+    psi = delta.copy()
+    lam_tv = np.zeros_like(delta)
+    lam_simplex = np.zeros_like(delta)
+    g1, g2 = cfg.tv_split_penalty, cfg.simplex_split_penalty
+    bregman_total = 0
+    rel = np.inf
+    tv_state = None
+    for iterations in range(1, cfg.admm_max + 1):
+        delta_prev = delta
+        target = eta - lam_tv / g1
+        if cfg.tv_weight > 0.0:
+            delta, tv_info = tv_prox(target, cfg.tv_weight / g1, n, cfg, state=tv_state)
+            delta = delta.copy()  # the next call may overwrite the returned view
+            tv_state = tv_info["state"]
+            bregman_total += tv_info["iterations"]
+        else:
+            delta = target
+        eta = update_coupling(delta, psi, lam_tv, lam_simplex, resp, g1, g2)
+        psi = normalize_to_simplex(eta, lam_simplex, g2, solver.SIMPLEX_FLOOR)
+        lam_tv = lam_tv + g1 * (delta - eta)
+        lam_simplex = lam_simplex + g2 * (eta - psi)
+        denom = np.linalg.norm(delta_prev)
+        rel = np.linalg.norm(delta - delta_prev) / denom if denom > 0 else np.inf
+        if iterations > 1 and rel < cfg.admm_tol:
+            break
+    return psi, {"iterations": iterations, "rel_change": float(rel),
+                 "bregman_iterations": bregman_total}
+
+
+class TestMembershipSubproblemInPlace:
+    # a uniform start makes the first TV target constant, which takes the
+    # constant-input path of tv_prox; a random start makes a cold first call
+    @pytest.mark.parametrize("start", ["uniform", "random"])
+    @pytest.mark.parametrize("overrides", [{"bregman_max": 1}, {}, {"tv_weight": 0.0}],
+                             ids=["one-pass", "default", "no-tv"])
+    def test_bit_identical_to_the_allocating_loop(self, start, overrides):
+        n, k = 16, 4
+        rng = np.random.default_rng(2024)
+        resp = rng.dirichlet(np.ones(k), size=n * n)
+        init = (np.full((n * n, k), 1.0 / k) if start == "uniform"
+                else rng.dirichlet(np.ones(k), size=n * n))
+        cfg = SolverConfig(**{"tv_weight": 0.5, "tv_split_penalty": 1.0,
+                              "simplex_split_penalty": 2.0, "admm_max": 400, **overrides})
+        out, info = solve_membership_subproblem(resp, init, cfg, n)
+        ref, ref_info = allocating_admm(resp, init, cfg, n)
+        assert np.array_equal(out, ref)
+        assert info == ref_info
+        assert info["iterations"] < cfg.admm_max  # stopped on the tolerance
+        if cfg.tv_weight > 0.0 and cfg.bregman_max > 1:
+            # some calls ran more than one Bregman pass
+            assert info["bregman_iterations"] > info["iterations"]
+
+    def test_overflowing_responsibility_raises_divergence(self):
+        # 1e308 is finite and passes the input check, but 4 * resp * (g1 + g2)
+        # overflows in the coupling update; the ADMM must report that as a
+        # divergence (naming its iteration) and warn of nothing on the way
+        resp = np.full((64, 2), 0.5)
+        resp[10, 0] = 1e308
+        with pytest.raises(DivergenceError,
+                           match=r"^membership ADMM produced non-finite values at iteration 2$"):
+            solve_membership_subproblem(resp, np.full((64, 2), 0.5), SolverConfig(), 8)
 
 
 def direct_joint_energy(x, memb, resp, prior, system, b, cfg):
