@@ -99,7 +99,7 @@ def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
     a view shorter than half its base, so the arrays are set on an empty
     block instead.
     """
-    count = max(1, min(parallel.product_threads(), matrix.nnz // MIN_BLOCK_NNZ))
+    count = parallel.block_count(matrix.nnz, MIN_BLOCK_NNZ)
     if count == 1:
         return (matrix,)
     indptr = matrix.indptr

@@ -6,6 +6,12 @@ Measure fields are plain float64 arrays of shape (N, K). Two conventions
 appear: simplex-interior fields have rows on the open probability simplex
 (entries in (0, 1), rows summing to 1) while coupling fields only need
 strictly positive entries.
+
+The membership ADMM's kernels (`tv_prox`, `update_coupling`,
+`normalize_to_simplex`) run their elementwise and stencil work as stages
+over row blocks of the field, on `parallel.map_blocks`. Every entry is
+computed by the same operations in the same order whatever the block
+count, so results are bit-identical on any number of cores.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .config import ClassPrior, SolverConfig
 from .errors import DivergenceError
 from .geometry import SystemMatrix, apply
@@ -26,6 +33,86 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # shrink threshold is weight / BREGMAN_PENALTY_SCALE, so weights near and
 # above 1 take many passes to converge.
 BREGMAN_PENALTY_SCALE = 2.0
+# Fewest field entries in a row block of the membership ADMM's kernels.
+# Each block stage costs a thread handoff of about 55 us, and the threads
+# contend for the interpreter lock between numpy calls. On two cores, one
+# Bregman pass, coupling update and simplex step together took (medians of
+# five timings, one block against two) 2.6 against 3.3 ms at 64x64x8
+# (32,768 entries), 4.3 against 4.1 ms at 112x112x3 (37,632), 7.0 against
+# 6.0 ms at 128x128x3 (49,152) and 33 against 25 ms at 256x256x3.
+MIN_BLOCK_ENTRIES = 24_576
+# numpy's PW_BLOCKSIZE: a pairwise sum splits longer runs in two
+_PAIRWISE_BLOCK = 128
+
+
+# ----------------------------------------------------------------------
+# Row blocks and class sums
+# ----------------------------------------------------------------------
+
+def _field_blocks(shape: tuple[int, ...]) -> tuple:
+    """The row blocks of a field of this shape: consecutive, nearly equal,
+    nonempty ranges of its first axis, one per block that
+    `parallel.block_count` grants it. A field of fewer than two dimensions
+    is one block."""
+    if len(shape) < 2:
+        return (...,)
+    rows = shape[0]
+    count = min(parallel.block_count(math.prod(shape), MIN_BLOCK_ENTRIES), max(rows, 1))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
+
+
+def _block_of(operand: np.ndarray, rows, ndim: int) -> np.ndarray:
+    """The rows `rows` of an operand of a field with `ndim` dimensions, or
+    the whole operand where it broadcasts along the rows."""
+    return operand[rows] if operand.ndim == ndim and operand.shape[0] != 1 else operand
+
+
+def _pairwise_sum(cols: list[np.ndarray]) -> np.ndarray:
+    """numpy's pairwise sum of 8 or more terms, as a new array: eight
+    accumulators combined as a tree, then the remainder one by one; runs
+    longer than _PAIRWISE_BLOCK are split in two at a multiple of 8 first."""
+    n = len(cols)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(cols[:half])
+        total += _pairwise_sum(cols[half:])
+        return total
+    acc = cols[:8]
+    i = 8
+    if n >= 16:
+        acc = [a + c for a, c in zip(acc, cols[8:16])]
+        i = 16
+        while i + 8 <= n:
+            for a, c in zip(acc, cols[i:i + 8]):
+                a += c
+            i += 8
+    # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) in three buffers
+    total, right = np.add(acc[0], acc[1]), np.add(acc[2], acc[3])
+    total += right
+    np.add(acc[4], acc[5], out=right)
+    right += np.add(acc[6], acc[7])
+    total += right
+    for col in cols[i:]:
+        total += col
+    return total
+
+
+def _class_sum(field: np.ndarray) -> np.ndarray:
+    """field.sum(axis=-1, keepdims=True) bit for bit, formed by adding whole
+    class columns in the order numpy 2.x sums each row: from zero one by
+    one below 8 classes, pairwise from 8 on, and that sum added to zero.
+    numpy reduces each short row in an inner-loop call of its own, which
+    costs several times more."""
+    cols = [field[..., k:k + 1] for k in range(field.shape[-1])]
+    if len(cols) >= 8:
+        total = _pairwise_sum(cols)
+        total += 0.0  # turns a -0 sum into +0, as numpy's does
+        return total
+    total = np.zeros((*field.shape[:-1], 1), dtype=field.dtype)
+    for col in cols:
+        total += col
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -76,26 +163,34 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
     f = _mixture_matrix(np.asarray(x, dtype=np.float64),
                         np.asarray(memberships, dtype=np.float64), prior)
     fallback_rows = int(np.count_nonzero(f.max(axis=1) <= _TINY))
-    return f / f.sum(axis=1, keepdims=True), fallback_rows
+    return f / _class_sum(f), fallback_rows
 
 
 # ----------------------------------------------------------------------
 # Closed-form ADMM field updates
 # ----------------------------------------------------------------------
 
-class CouplingWork(NamedTuple):
-    """The terms of `update_coupling` that stay fixed while the
-    responsibilities and the penalties do, what they were formed from, and
-    its scratch buffers."""
+class _CouplingRows(NamedTuple):
+    """One row block of a `CouplingWork`: its rows, and views of the fixed
+    terms and the scratch on them."""
 
-    responsibilities: np.ndarray  # the field the terms were formed from
-    penalties: tuple[float, float]  # (g1, g2)
+    rows: slice
     four_phi_g: np.ndarray   # 4 * resp * (g1 + g2)
     two_phi: np.ndarray      # 2 * resp
     lin: np.ndarray          # scratch: the linear part c
     disc: np.ndarray         # scratch: the discriminant root, then disc - c
     conj_mask: np.ndarray    # scratch: where the conjugate form applies
     pos_mask: np.ndarray     # scratch
+
+
+class CouplingWork(NamedTuple):
+    """The terms of `update_coupling` that stay fixed while the
+    responsibilities and the penalties do, what they were formed from, and
+    its scratch buffers, held as views of its row blocks."""
+
+    responsibilities: np.ndarray  # the field the terms were formed from
+    penalties: tuple[float, float]  # (g1, g2)
+    blocks: tuple[_CouplingRows, ...]
 
 
 def coupling_work(responsibilities: np.ndarray, tv_split_penalty: float,
@@ -107,10 +202,34 @@ def coupling_work(responsibilities: np.ndarray, tv_split_penalty: float,
     if g1 <= 0 or g2 <= 0:
         raise ValueError("split penalties must be positive")
     resp = np.asarray(responsibilities, dtype=np.float64)
+    whole = (4.0 * resp * (g1 + g2), 2.0 * resp, np.empty_like(resp), np.empty_like(resp),
+             np.empty(resp.shape, dtype=bool), np.empty(resp.shape, dtype=bool))
     return CouplingWork(responsibilities, (g1, g2),
-                        4.0 * resp * (g1 + g2), 2.0 * resp,
-                        np.empty_like(resp), np.empty_like(resp),
-                        np.empty(resp.shape, dtype=bool), np.empty(resp.shape, dtype=bool))
+                        tuple(_CouplingRows(rows, *(part[rows] for part in whole))
+                              for rows in _field_blocks(resp.shape)))
+
+
+def _coupling_rows(blk: _CouplingRows, memberships, simplex_field, mult_tv, mult_simplex,
+                   out: np.ndarray, g1: float, g2: float) -> None:
+    """`update_coupling` on one row block; the fields are its rows."""
+    c, disc = blk.lin, blk.disc
+    np.multiply(g1, memberships, out=c)
+    c += mult_tv
+    np.multiply(g2, simplex_field, out=disc)
+    c += disc
+    c -= mult_simplex
+    np.multiply(c, c, out=disc)
+    disc += blk.four_phi_g
+    np.sqrt(disc, out=disc)
+    # the root for c > 0 everywhere, then the conjugate form where c <= 0
+    # and its denominator disc - c is positive
+    np.add(c, disc, out=out)
+    out /= 2.0 * (g1 + g2)
+    np.subtract(disc, c, out=disc)
+    np.less_equal(c, 0.0, out=blk.conj_mask)
+    np.greater(disc, 0.0, out=blk.pos_mask)
+    np.logical_and(blk.conj_mask, blk.pos_mask, out=blk.conj_mask)
+    np.divide(blk.two_phi, disc, out=out, where=blk.conj_mask)
 
 
 def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
@@ -130,31 +249,20 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
     The result is written into `out` when given. `work` must come from
     `coupling_work` called with this same responsibilities array and these
     penalties, or the call raises ValueError; without it the call forms
-    those terms itself.
+    those terms itself. The work runs over the row blocks of `work`, the
+    first on the calling thread and the rest on the thread pool.
     """
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
     if work is None:
         work = coupling_work(responsibilities, g1, g2)
     elif work.responsibilities is not responsibilities or work.penalties != (g1, g2):
         raise ValueError("work was formed from other responsibilities or penalties")
-    c, disc = work.lin, work.disc
-    np.multiply(g1, memberships, out=c)
-    c += mult_tv
-    np.multiply(g2, simplex_field, out=disc)
-    c += disc
-    c -= mult_simplex
-    np.multiply(c, c, out=disc)
-    disc += work.four_phi_g
-    np.sqrt(disc, out=disc)
-    # the root for c > 0 everywhere, then the conjugate form where c <= 0
-    # and its denominator disc - c is positive
-    out = np.add(c, disc, out=out)
-    out /= 2.0 * (g1 + g2)
-    np.subtract(disc, c, out=disc)
-    np.less_equal(c, 0.0, out=work.conj_mask)
-    np.greater(disc, 0.0, out=work.pos_mask)
-    np.logical_and(work.conj_mask, work.pos_mask, out=work.conj_mask)
-    np.divide(work.two_phi, disc, out=out, where=work.conj_mask)
+    if out is None:
+        out = np.empty(np.shape(responsibilities))
+    fields = [np.asarray(f) for f in (memberships, simplex_field, mult_tv, mult_simplex)]
+    parallel.map_blocks(lambda blk: _coupling_rows(
+        blk, *(_block_of(f, blk.rows, out.ndim) for f in fields), out[blk.rows], g1, g2),
+        work.blocks)
     return out
 
 
@@ -162,7 +270,9 @@ def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
                          simplex_split_penalty: float, floor: float,
                          *, out: np.ndarray | None = None) -> np.ndarray:
     """Clamped row normalization: floor the scores, then divide by the row
-    sum. The result is written into `out` when given.
+    sum. The result is written into `out` when given. The rows run in
+    blocks, the first on the calling thread and the rest on the thread
+    pool, and each row sum adds the class columns in numpy's own order.
 
     Every entry stays positive for any finite scores. Entries stay strictly
     below 1 only while a row's largest score is under about floor / eps
@@ -177,16 +287,50 @@ def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
         out = np.empty(np.broadcast_shapes(np.shape(coupling), np.shape(mult_simplex)),
                        dtype=np.result_type(simplex_split_penalty, coupling,
                                             mult_simplex, floor, 1.0))
-    scores = np.multiply(simplex_split_penalty, coupling, out=out)
-    scores += mult_simplex
-    np.maximum(scores, floor, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
+    coupling, mult_simplex = np.asarray(coupling), np.asarray(mult_simplex)
+
+    def block(rows):
+        scores = np.multiply(simplex_split_penalty, _block_of(coupling, rows, out.ndim),
+                             out=out[rows])
+        scores += _block_of(mult_simplex, rows, out.ndim)
+        np.maximum(scores, floor, out=scores)
+        scores /= _class_sum(scores)
+
+    parallel.map_blocks(block, _field_blocks(out.shape))
+    return out
 
 
 # ----------------------------------------------------------------------
 # Discrete gradient with replicated boundary
 # ----------------------------------------------------------------------
+
+def _gradient_rows(field: np.ndarray, rows: slice, gh: np.ndarray, gv: np.ndarray) -> None:
+    """Rows `rows` (nonempty) of `image_gradient(field)`, written into gh
+    and gv, which hold just those rows. Reads the row below them."""
+    start, stop, _ = rows.indices(len(field))
+    f = field[rows]
+    np.subtract(f[:, 1:, ...], f[:, :-1, ...], out=gh[:, :-1, ...])
+    gh[:, -1, ...] = 0.0
+    inner = min(stop, len(field) - 1) - start  # the rows that have a row below
+    np.subtract(field[start + 1:start + 1 + inner], f[:inner], out=gv[:inner])
+    gv[inner:] = 0.0
+
+
+def _gradient_adjoint_rows(gh: np.ndarray, gv: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """Rows `rows` (nonempty) of `image_gradient_adjoint(gh, gv)`, written
+    into `out`, which holds just those rows. Reads gv's row above them."""
+    start, stop, _ = rows.indices(len(gh))
+    h = gh[rows]
+    # 0 - gh, as an accumulation into zeros would form it (a plain negation
+    # would turn +0 into -0)
+    np.subtract(0.0, h[:, :-1, ...], out=out[:, :-1, ...])
+    out[:, -1, ...] = 0.0
+    out[:, 1:, ...] += h[:, :-1, ...]
+    inner = min(stop, len(gh) - 1) - start  # the rows that have a row below
+    out[:inner] -= gv[start:start + inner]
+    top = 1 if start == 0 else 0  # the first image row has no row above
+    out[top:] += gv[start + top - 1:stop - 1]
+
 
 def image_gradient(field: np.ndarray,
                    out: tuple[np.ndarray, np.ndarray] | None = None
@@ -195,10 +339,7 @@ def image_gradient(field: np.ndarray,
     makes the last difference in each direction zero. `field` has shape
     (n, n) or (n, n, K). The pair is written into `out` when given."""
     gh, gv = (np.empty_like(field), np.empty_like(field)) if out is None else out
-    np.subtract(field[:, 1:, ...], field[:, :-1, ...], out=gh[:, :-1, ...])
-    gh[:, -1, ...] = 0.0
-    np.subtract(field[1:, ...], field[:-1, ...], out=gv[:-1, ...])
-    gv[-1, ...] = 0.0
+    _gradient_rows(field, slice(0, len(field)), gh, gv)
     return gh, gv
 
 
@@ -207,13 +348,7 @@ def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray,
     """Adjoint of `image_gradient`, written into `out` when given."""
     if out is None:
         out = np.empty_like(gh)
-    # 0 - gh, as an accumulation into zeros would form it (a plain negation
-    # would turn +0 into -0)
-    np.subtract(0.0, gh[:, :-1, ...], out=out[:, :-1, ...])
-    out[:, -1, ...] = 0.0
-    out[:, 1:, ...] += gh[:, :-1, ...]
-    out[:-1, ...] -= gv[:-1, ...]
-    out[1:, ...] += gv[:-1, ...]
+    _gradient_adjoint_rows(gh, gv, slice(0, len(gh)), out)
     return out
 
 
@@ -248,14 +383,6 @@ def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return basis, eig
 
 
-def _apply_along_grid(mat: np.ndarray, u: np.ndarray, work: np.ndarray) -> None:
-    """mat applied along axis 0 and axis 1 of an (n, n, K) stack, in place;
-    `work` is scratch of the same shape."""
-    n = u.shape[0]
-    np.matmul(mat, u.reshape(n, -1), out=work.reshape(n, -1))
-    np.matmul(mat, work, out=u)
-
-
 def relative_change(new: np.ndarray, prev: np.ndarray, scratch: np.ndarray) -> float:
     """||new - prev|| / ||prev|| in the Frobenius norm, inf when prev is
     zero. The difference is formed in `scratch`, which may be `prev`."""
@@ -270,6 +397,8 @@ class BregmanState:
     the Bregman variable. The state also owns the scratch that every pass
     writes into: two spare iterates and one work buffer, all of the same
     shape. A call given a state updates it in place and allocates nothing.
+    `blocks` holds the views of these buffers on each row block of the grid,
+    made once here.
     """
 
     def __init__(self, u: np.ndarray):
@@ -277,9 +406,27 @@ class BregmanState:
         self.dh, self.dv, self.bh, self.bv = (np.zeros_like(u) for _ in range(4))
         self.spares = [np.empty_like(u), np.empty_like(u)]
         self.work = np.empty_like(u)
+        _, eig = _neumann_basis(len(u), BREGMAN_PENALTY_SCALE)
+        self.blocks = tuple(_BregmanRows(self, rows, eig) for rows in _field_blocks(u.shape))
 
 
-def _shrink_step(st: BregmanState, thresh: float) -> None:
+class _BregmanRows:
+    """Views of one row block of a `BregmanState`: `rows` is the block's
+    range, `dh` .. `work` and the eigenvalues `eig` are its rows of those
+    arrays, and `self[buffer]` gives its rows of one of the three iterate
+    buffers, which rotate between `u` and the spares."""
+
+    def __init__(self, st: BregmanState, rows: slice, eig: np.ndarray):
+        self.rows = rows
+        self.dh, self.dv, self.bh, self.bv, self.work, self.eig = (
+            part[rows] for part in (st.dh, st.dv, st.bh, st.bv, st.work, eig))
+        self._iterates = {id(buf): buf[rows] for buf in (st.u, *st.spares)}
+
+    def __getitem__(self, buf: np.ndarray) -> np.ndarray:
+        return self._iterates[id(buf)]
+
+
+def _shrink_step(st: _BregmanRows, thresh: float) -> None:
     """Isotropic shrinkage of the pair held in (bh, bv) by thresh into
     (dh, dv), then b <- (bh, bv) - d: the Bregman update reuses the sum
     grad u + b that the shrink is applied to."""
@@ -302,29 +449,59 @@ def _shrink_step(st: BregmanState, thresh: float) -> None:
 
 
 def _bregman_pass(v: np.ndarray, st: BregmanState, out: np.ndarray,
-                  basis: np.ndarray, eig: np.ndarray, scale: float,
-                  thresh: float) -> float:
+                  basis: np.ndarray, scale: float, thresh: float) -> float:
     """One split-Bregman pass from st.u, writing the new iterate into `out`
     and updating (dh, dv, bh, bv) in place; st.u is left as it was. Returns
-    the relative change of the iterate."""
+    the relative change of the iterate.
+
+    The pass runs as stages over the row blocks of the grid, each stage
+    finishing on every block before the next starts, because the gradient
+    pair and the DCT's axis-0 products read rows of other blocks. The
+    axis-1 products are batched over rows, one identical GEMM per row, so
+    they split by rows exactly. The two axis-0 products run whole on the
+    calling thread: which micro-kernel OpenBLAS gives a column of a GEMM
+    depends on the call's column count, so a split by columns changes the
+    last digits of some columns. The norms of the relative change are
+    taken whole too.
+    """
+    n = len(out)
     u, work = st.u, st.work
-    # rhs = v + scale * grad^T (d - b); d - b is formed in d's buffers, which
-    # the pass overwrites below
-    st.dh -= st.bh
-    st.dv -= st.bv
-    image_gradient_adjoint(st.dh, st.dv, out=out)
-    out *= scale
-    np.add(v, out, out=out)
-    _apply_along_grid(basis, out, work)
-    out /= eig
-    _apply_along_grid(basis.T, out, work)
 
-    rel = relative_change(out, u, work)
+    def subtract(blk):  # d - b, in d's buffers
+        blk.dh -= blk.bh
+        blk.dv -= blk.bv
 
-    image_gradient(out, out=(st.dh, st.dv))
-    st.bh += st.dh
-    st.bv += st.dv
-    _shrink_step(st, thresh)
+    def rhs(blk):  # v + scale * grad^T (d - b)
+        o = blk[out]
+        _gradient_adjoint_rows(st.dh, st.dv, blk.rows, o)
+        o *= scale
+        np.add(v[blk.rows], o, out=o)
+
+    def solve(blk):  # the forward transform's axis-1 product, then the inverse
+        o = blk[out]
+        np.matmul(basis, blk.work, out=o)
+        o /= blk.eig
+
+    def synthesize(blk):  # the inverse transform's axis-1 product; the change
+        o = blk[out]
+        np.matmul(basis.T, blk.work, out=o)
+        np.subtract(o, blk[u], out=blk.work)
+
+    def shrink(blk):  # b += grad out, shrunk into d
+        _gradient_rows(out, blk.rows, blk.dh, blk.dv)
+        blk.bh += blk.dh
+        blk.bv += blk.dv
+        _shrink_step(blk, thresh)
+
+    parallel.map_blocks(subtract, st.blocks)
+    parallel.map_blocks(rhs, st.blocks)
+    np.matmul(basis, out.reshape(n, -1), out=work.reshape(n, -1))
+    parallel.map_blocks(solve, st.blocks)
+    np.matmul(basis.T, out.reshape(n, -1), out=work.reshape(n, -1))
+    parallel.map_blocks(synthesize, st.blocks)
+    denom = np.linalg.norm(u)
+    rel = np.linalg.norm(work) / denom if denom > 0.0 else np.inf
+    parallel.map_blocks(shrink, st.blocks)
     return rel
 
 
@@ -340,7 +517,10 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     dense matrix applied by matmuls (about 8 n^3 K flops per pass). Accepts
     a flat (N,) image or an (N, K) stack sharing one Frobenius stopping
     rule; the passes stop when the relative change of u drops below
-    bregman_tol or after bregman_max passes.
+    bregman_tol or after bregman_max passes. Each pass runs as stages over
+    row blocks of the grid, split over the thread pool once the stack has
+    at least 2 * MIN_BLOCK_ENTRIES entries and the BLAS can be pinned; the
+    result is bit-identical whatever the block count.
 
     Passing the `state` from a previous call's info dict warm starts the
     iteration; callers that solve a sequence of nearby targets (the
@@ -366,15 +546,18 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     if lo == hi:  # constant input: TV is zero, v is the exact prox
         return v_in.copy(), {"iterations": 0, "state": BregmanState(v.copy())}
 
-    basis, eig = _neumann_basis(n, scale)
+    basis, _ = _neumann_basis(n, scale)
 
     if state is None:
         # seed the shrinkage pair from the input's gradients; the first
         # inner solve with this seed would leave u untouched, so the loop
         # starts directly at the solve for the seeded pair
         state = BregmanState(v.copy())
-        image_gradient(state.u, out=(state.bh, state.bv))
-        _shrink_step(state, thresh)
+
+        def seed(blk):
+            _gradient_rows(state.u, blk.rows, blk.bh, blk.bv)
+            _shrink_step(blk, thresh)
+        parallel.map_blocks(seed, state.blocks)
 
     # each pass writes into a spare that is not the starting iterate, so
     # the previous call's result stays intact through the call
@@ -382,7 +565,7 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     iterations = 0
     for iterations in range(1, cfg.bregman_max + 1):
         out = state.spares.pop()
-        rel = _bregman_pass(v, state, out, basis, eig, scale, thresh)
+        rel = _bregman_pass(v, state, out, basis, scale, thresh)
         if state.u is not start:
             state.spares.append(state.u)
         state.u = out

@@ -1,15 +1,18 @@
-"""The cores of this process: how many, the thread pool that shares them,
-and the OpenBLAS thread pin that a solve holds.
+"""The cores of this process: how many, how many blocks a piece of work
+splits into, the thread pool that runs the blocks, and the OpenBLAS thread
+pin that a solve holds.
 
 numpy's OpenBLAS keeps worker threads that spin on the cores after each
-multi-threaded call. A solve pins it to one thread, so that the projector's
-row blocks (`geometry.SystemMatrix`) get the other cores, and so that its
-results do not depend on the BLAS thread count: a threaded dot product of
-more than 10,000 entries sums in a different order.
+multi-threaded call. A solve pins it to one thread, so that the row blocks
+of the projector (`geometry.SystemMatrix`) and of the membership ADMM's
+kernels get the other cores, and so that its results do not depend on the
+BLAS thread count: a threaded dot product of more than 10,000 entries sums
+in a different order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 import threading
@@ -57,6 +60,13 @@ def product_threads() -> int:
     return cores() if _BLAS is not None else 1
 
 
+def block_count(size: int, min_block: int) -> int:
+    """How many blocks `size` units of work split into: one per thread that
+    a product may use (`product_threads`), each of at least `min_block`
+    units, and at least one."""
+    return max(1, min(product_threads(), size // min_block))
+
+
 @contextmanager
 def one_blas_thread():
     """Hold OpenBLAS at one thread while the body runs, then restore the
@@ -83,15 +93,29 @@ def one_blas_thread():
 
 def map_blocks(fn, blocks) -> list:
     """[fn(b) for b in blocks], the first on the calling thread and the rest
-    on this process's thread pool. fn must release the GIL to gain."""
+    on this process's thread pool. fn must release the GIL to gain.
+
+    The call returns only once every block has finished, also when one
+    raises, so no block still writes into the caller's buffers; it then
+    raises the error of the first failing block, in block order. One block
+    runs on the calling thread alone. Each pool block runs in a copy of the
+    caller's context, so numpy's error state (`np.errstate`) holds there too.
+    """
+    if len(blocks) == 1:
+        return [fn(blocks[0])]
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=max(cores() - 1, 1),
                                        thread_name_prefix="srsct-block")
         pool = _pool
-    futures = [pool.submit(fn, block) for block in blocks[1:]]
-    return [fn(blocks[0]), *(future.result() for future in futures)]
+    futures = [pool.submit(contextvars.copy_context().run, fn, block) for block in blocks[1:]]
+    try:
+        first = fn(blocks[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the block, and raises nothing
+    return [first, *(future.result() for future in futures)]
 
 
 def _after_fork_in_child() -> None:

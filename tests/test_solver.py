@@ -170,6 +170,49 @@ class TestMembershipSubproblemInPlace:
             solve_membership_subproblem(resp, np.full((64, 2), 0.5), SolverConfig(), 8)
 
 
+class TestSplitAdmm:
+    """The ADMM with its kernels cut into row blocks equals its one-block run."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("n", [7, 33])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_membership_subproblem(self, admm_blocks, n, k, count):
+        rng = np.random.default_rng(300 * n + k)
+        resp = rng.dirichlet(np.ones(k), size=n * n)
+        init = rng.dirichlet(np.ones(k), size=n * n)
+        cfg = SolverConfig(tv_weight=0.5, admm_max=40)
+        admm_blocks(1)
+        whole, whole_info = solve_membership_subproblem(resp, init, cfg, n)
+        admm_blocks(count)
+        split, split_info = solve_membership_subproblem(resp, init, cfg, n)
+        assert np.array_equal(whole, split)
+        assert whole_info == split_info
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_full_solve(self, admm_blocks, count):
+        problem = small_problem()
+        cfg = SolverConfig(outer_max=3)
+        admm_blocks(1)
+        whole = reconstruct_and_segment(problem, cfg)
+        admm_blocks(count)
+        split = reconstruct_and_segment(problem, cfg)
+        for name in ("x", "memberships", "responsibilities", "labels"):
+            assert np.array_equal(getattr(whole, name), getattr(split, name)), name
+        assert whole.energy_trace == split.energy_trace
+        assert (whole.iterations, whole.info) == (split.iterations, split.info)
+
+    def test_overflow_in_a_pool_block_raises_divergence(self, admm_blocks):
+        # the overflowing entry sits in the second of two row blocks, which
+        # runs on the thread pool: the ADMM's error state must hold there
+        # too, so the call warns of nothing and reports the divergence
+        admm_blocks(2)
+        resp = np.full((64, 2), 0.5)
+        resp[50, 0] = 1e308
+        with pytest.raises(DivergenceError,
+                           match=r"^membership ADMM produced non-finite values at iteration 2$"):
+            solve_membership_subproblem(resp, np.full((64, 2), 0.5), SolverConfig(), 8)
+
+
 def direct_joint_energy(x, memb, resp, prior, system, b, cfg):
     """Straight transcription of the separable objective, no shared helpers."""
     n = int(math.isqrt(len(x)))
