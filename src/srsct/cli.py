@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Exit codes: 0 on full success, 1 on configuration errors, 2 when some
-trials failed but the run completed.
+trials failed but the run completed. A trial fails when it raises or its
+pool worker dies; its traceback goes to stderr.
 """
 
 from __future__ import annotations

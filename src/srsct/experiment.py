@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -12,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ClassPrior, ExperimentConfig, parse_angles
-from .errors import DivergenceError
 from .geometry import add_noise, apply, build_parallel_geometry, check_noise_level, check_scan
 from .metrics import reconstruction_error, segmentation_error
 from .pgm import write_pgm
@@ -86,10 +86,7 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     prior = ClassPrior(phantom.class_means,
                        np.full(phantom.n_classes, cfg.prior_sigma))
     problem = SrsProblem(system, sino, prior, cfg.grid_side)
-    try:
-        result = reconstruct_and_segment(problem, cfg.solver, cfg.variant)
-    except DivergenceError:
-        return TrialResult(seed, float("nan"), float("nan"), 0.0, 0, "failed"), None
+    result = reconstruct_and_segment(problem, cfg.solver, cfg.variant)
     trial = TrialResult(
         seed=seed,
         rec_err=reconstruction_error(result.x, phantom.image),
@@ -98,6 +95,17 @@ def run_trial(cfg: ExperimentConfig, seed: int):
         outer_iters=result.iterations,
     )
     return trial, result
+
+
+def _outcome(seed: int, run, *args):
+    """run(*args), the (trial, result) of the trial of this seed. A trial
+    that raises, or whose pool worker died, fails: its traceback goes to
+    stderr, and it is marked failed, with no result."""
+    try:
+        return run(*args)
+    except Exception:  # the trial's boundary: the run goes on without it
+        traceback.print_exc()
+        return TrialResult(seed, float("nan"), float("nan"), 0.0, 0, "failed"), None
 
 
 def worker_count() -> int:
@@ -116,6 +124,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     (apart from wall-clock times) regardless of worker count. The worker
     pool size comes from the SRS_THREADS environment variable; unset or <2
     runs sequentially, and a value that is not an integer raises ValueError.
+    Either way a trial that raises, or whose pool worker dies, is marked
+    failed and its traceback goes to stderr.
     Output files (report.csv, x_final.pgm, labels.csv, energy_trace.csv for
     the first trial) are written when out_dir is set.
     """
@@ -124,12 +134,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
     trials, first_result = [], None
     with ExitStack() as stack:
-        mapper = map
         if workers > 1:
             # build the scan before the fork so the workers inherit it
             _scan_setup(cfg.phantom, cfg.grid_side, cfg.detector_pixels, cfg.angles)
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for trial, result in mapper(run_trial, [cfg] * cfg.trials, seeds):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            futures = [pool.submit(run_trial, cfg, seed) for seed in seeds]
+            outcomes = (_outcome(seed, f.result) for seed, f in zip(seeds, futures))
+        else:
+            outcomes = (_outcome(seed, run_trial, cfg, seed) for seed in seeds)
+        for trial, result in outcomes:
             if not trials:
                 first_result = result
             trials.append(trial)

@@ -7,18 +7,22 @@ appear: simplex-interior fields have rows on the open probability simplex
 (entries in (0, 1), rows summing to 1) while coupling fields only need
 strictly positive entries.
 
-The membership ADMM's kernels (`tv_prox`, `update_coupling`,
-`normalize_to_simplex`) run their elementwise and stencil work as stages
-over row blocks of the field, on `parallel.map_blocks`. Every entry is
-computed by the same operations in the same order whatever the block
-count, so results are bit-identical on any number of cores.
+The membership ADMM keeps every field in one `Workspace` per call
+(`admm_workspace`), allocated once. Its kernels (`tv_prox`,
+`update_coupling`, `normalize_to_simplex`) update it in place, and make a
+small one when called without it. The TV iterate rotates among three
+buffers; the one a `tv_prox` call started from stays intact in
+`delta_prev`. The kernels run their elementwise and stencil work as
+stages over the workspace's row blocks, on `parallel.map_blocks`. Every
+entry is computed by the same operations in the same order whatever the
+block count, so results are bit-identical on any number of cores.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,10 +66,35 @@ def _field_blocks(shape: tuple[int, ...]) -> tuple:
     return tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
 
 
-def _block_of(operand: np.ndarray, rows, ndim: int) -> np.ndarray:
-    """The rows `rows` of an operand of a field with `ndim` dimensions, or
-    the whole operand where it broadcasts along the rows."""
-    return operand[rows] if operand.ndim == ndim and operand.shape[0] != 1 else operand
+class Workspace:
+    """Fields of the membership ADMM's kernels, allocated once and updated
+    in place: the keyword arrays, each viewed as `grid` without a copy (an
+    (N, K) field of an n x n grid as (n, n, K)). `blocks` holds, for each
+    row block of the grid, a namespace of its `rows` and, under each
+    field's name, its rows of that field, made here once. `swap` exchanges
+    two fields' buffers on the workspace and every block alike. `warm`
+    tells whether `tv_prox` has run on it.
+    """
+
+    def __init__(self, grid: tuple[int, ...], **fields: np.ndarray):
+        self.grid, self.warm = grid, False
+        self.__dict__.update(fields)
+        self.blocks = tuple(
+            SimpleNamespace(rows=rows, **{key: f.reshape(grid)[rows] for key, f in fields.items()})
+            for rows in _field_blocks(grid))
+
+    def swap(self, a: str, b: str) -> None:
+        for part in (self, *self.blocks):
+            part.__dict__[a], part.__dict__[b] = part.__dict__[b], part.__dict__[a]
+
+
+def _in_grid(operand, shape: tuple[int, ...], grid: tuple[int, ...]) -> np.ndarray:
+    """An operand of a kernel as an array of the field's shape, viewed in
+    the workspace's grid. Raises ValueError for any other shape."""
+    operand = np.asarray(operand)
+    if operand.shape != shape:
+        raise ValueError(f"operand of shape {operand.shape} does not match the field's {shape}")
+    return operand.reshape(grid, copy=False)
 
 
 def _pairwise_sum(cols: list[np.ndarray]) -> np.ndarray:
@@ -170,46 +199,19 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
 # Closed-form ADMM field updates
 # ----------------------------------------------------------------------
 
-class _CouplingRows(NamedTuple):
-    """One row block of a `CouplingWork`: its rows, and views of the fixed
-    terms and the scratch on them."""
-
-    rows: slice
-    four_phi_g: np.ndarray   # 4 * resp * (g1 + g2)
-    two_phi: np.ndarray      # 2 * resp
-    lin: np.ndarray          # scratch: the linear part c
-    disc: np.ndarray         # scratch: the discriminant root, then disc - c
-    conj_mask: np.ndarray    # scratch: where the conjugate form applies
-    pos_mask: np.ndarray     # scratch
-
-
-class CouplingWork(NamedTuple):
+def _coupling_fields(responsibilities: np.ndarray, g1: float, g2: float) -> dict:
     """The terms of `update_coupling` that stay fixed while the
-    responsibilities and the penalties do, what they were formed from, and
-    its scratch buffers, held as views of its row blocks."""
-
-    responsibilities: np.ndarray  # the field the terms were formed from
-    penalties: tuple[float, float]  # (g1, g2)
-    blocks: tuple[_CouplingRows, ...]
-
-
-def coupling_work(responsibilities: np.ndarray, tv_split_penalty: float,
-                  simplex_split_penalty: float) -> CouplingWork:
-    """Form the fixed terms of `update_coupling` once, for a caller (the
-    membership ADMM) that calls it many times at the same responsibilities
-    and penalties."""
-    g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
+    responsibilities and the penalties do, and its scratch."""
     if g1 <= 0 or g2 <= 0:
         raise ValueError("split penalties must be positive")
     resp = np.asarray(responsibilities, dtype=np.float64)
-    whole = (4.0 * resp * (g1 + g2), 2.0 * resp, np.empty_like(resp), np.empty_like(resp),
-             np.empty(resp.shape, dtype=bool), np.empty(resp.shape, dtype=bool))
-    return CouplingWork(responsibilities, (g1, g2),
-                        tuple(_CouplingRows(rows, *(part[rows] for part in whole))
-                              for rows in _field_blocks(resp.shape)))
+    return {"four_phi_g": 4.0 * resp * (g1 + g2), "two_phi": 2.0 * resp,
+            "lin": np.empty_like(resp), "disc": np.empty_like(resp),
+            "conj_mask": np.empty(resp.shape, dtype=bool),
+            "pos_mask": np.empty(resp.shape, dtype=bool)}
 
 
-def _coupling_rows(blk: _CouplingRows, memberships, simplex_field, mult_tv, mult_simplex,
+def _coupling_rows(blk: SimpleNamespace, memberships, simplex_field, mult_tv, mult_simplex,
                    out: np.ndarray, g1: float, g2: float) -> None:
     """`update_coupling` on one row block; the fields are its rows."""
     c, disc = blk.lin, blk.disc
@@ -237,42 +239,49 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
                     responsibilities: np.ndarray,
                     tv_split_penalty: float, simplex_split_penalty: float,
                     *, out: np.ndarray | None = None,
-                    work: CouplingWork | None = None) -> np.ndarray:
+                    work: Workspace | None = None) -> np.ndarray:
     """Positive root of the per-entry stationarity condition of the coupling
     field: the unique eta > 0 with
     -resp/eta + g1*(eta - memb) - mult_tv + g2*(eta - simp) + mult_simplex = 0.
 
     Uses the conjugate form of the quadratic formula when the linear part is
     not positive to avoid cancellation; an entry whose conjugate denominator
-    is zero (zero responsibility and zero linear part) comes out 0.
+    is zero (zero responsibility and zero linear part) comes out 0. Every
+    field has the responsibilities' shape, or the call raises ValueError.
 
-    The result is written into `out` when given. `work` must come from
-    `coupling_work` called with this same responsibilities array and these
-    penalties, or the call raises ValueError; without it the call forms
-    those terms itself. The work runs over the row blocks of `work`, the
-    first on the calling thread and the rest on the thread pool.
+    The result is written into `out` when given. `work` is the
+    `admm_workspace` formed from this same responsibilities array and these
+    penalties, or the call raises ValueError; its fixed terms and scratch
+    are used in place. Without it the call forms a small workspace of its
+    own. The work runs over the row blocks of the workspace, the first on
+    the calling thread and the rest on the thread pool.
     """
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
+    shape = np.shape(responsibilities)
     if work is None:
-        work = coupling_work(responsibilities, g1, g2)
+        work = Workspace(shape, **_coupling_fields(responsibilities, g1, g2))
     elif work.responsibilities is not responsibilities or work.penalties != (g1, g2):
         raise ValueError("work was formed from other responsibilities or penalties")
     if out is None:
-        out = np.empty(np.shape(responsibilities))
-    fields = [np.asarray(f) for f in (memberships, simplex_field, mult_tv, mult_simplex)]
+        out = np.empty(shape)
+    fields = [_in_grid(f, shape, work.grid)
+              for f in (memberships, simplex_field, mult_tv, mult_simplex, out)]
     parallel.map_blocks(lambda blk: _coupling_rows(
-        blk, *(_block_of(f, blk.rows, out.ndim) for f in fields), out[blk.rows], g1, g2),
-        work.blocks)
+        blk, *(f[blk.rows] for f in fields), g1, g2), work.blocks)
     return out
 
 
 def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
                          simplex_split_penalty: float, floor: float,
-                         *, out: np.ndarray | None = None) -> np.ndarray:
+                         *, out: np.ndarray | None = None,
+                         work: Workspace | None = None) -> np.ndarray:
     """Clamped row normalization: floor the scores, then divide by the row
-    sum. The result is written into `out` when given. The rows run in
-    blocks, the first on the calling thread and the rest on the thread
-    pool, and each row sum adds the class columns in numpy's own order.
+    sum. Both operands have one shape, or the call raises ValueError. The
+    result is written into `out` when given. The rows run in the blocks of
+    `work` (the membership ADMM's workspace) or, without it, of a small
+    workspace of the call's own: the first on the calling thread and the
+    rest on the thread pool. Each row sum adds the class columns in numpy's
+    own order.
 
     Every entry stays positive for any finite scores. Entries stay strictly
     below 1 only while a row's largest score is under about floor / eps
@@ -281,22 +290,24 @@ def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
+    shape = np.shape(coupling)
     if out is None:
-        # the shape and dtype of the allocating expression, which turns
-        # integer scores into floats
-        out = np.empty(np.broadcast_shapes(np.shape(coupling), np.shape(mult_simplex)),
-                       dtype=np.result_type(simplex_split_penalty, coupling,
-                                            mult_simplex, floor, 1.0))
-    coupling, mult_simplex = np.asarray(coupling), np.asarray(mult_simplex)
+        # the dtype of the allocating expression, which turns integer
+        # scores into floats
+        out = np.empty(shape, dtype=np.result_type(simplex_split_penalty, coupling,
+                                                   mult_simplex, floor, 1.0))
+    if work is None:
+        work = Workspace(shape)
+    coupling, mult_simplex, out_grid = (_in_grid(f, shape, work.grid)
+                                        for f in (coupling, mult_simplex, out))
 
-    def block(rows):
-        scores = np.multiply(simplex_split_penalty, _block_of(coupling, rows, out.ndim),
-                             out=out[rows])
-        scores += _block_of(mult_simplex, rows, out.ndim)
+    def block(blk):
+        scores = np.multiply(simplex_split_penalty, coupling[blk.rows], out=out_grid[blk.rows])
+        scores += mult_simplex[blk.rows]
         np.maximum(scores, floor, out=scores)
         scores /= _class_sum(scores)
 
-    parallel.map_blocks(block, _field_blocks(out.shape))
+    parallel.map_blocks(block, work.blocks)
     return out
 
 
@@ -332,22 +343,18 @@ def _gradient_adjoint_rows(gh: np.ndarray, gv: np.ndarray, rows: slice, out: np.
     out[top:] += gv[start + top - 1:stop - 1]
 
 
-def image_gradient(field: np.ndarray,
-                   out: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def image_gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences along columns and rows; the replicated boundary
     makes the last difference in each direction zero. `field` has shape
-    (n, n) or (n, n, K). The pair is written into `out` when given."""
-    gh, gv = (np.empty_like(field), np.empty_like(field)) if out is None else out
+    (n, n) or (n, n, K)."""
+    gh, gv = np.empty_like(field), np.empty_like(field)
     _gradient_rows(field, slice(0, len(field)), gh, gv)
     return gh, gv
 
 
-def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of `image_gradient`, written into `out` when given."""
-    if out is None:
-        out = np.empty_like(gh)
+def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """Adjoint of `image_gradient`."""
+    out = np.empty_like(gh)
     _gradient_adjoint_rows(gh, gv, slice(0, len(gh)), out)
     return out
 
@@ -383,50 +390,17 @@ def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return basis, eig
 
 
-def relative_change(new: np.ndarray, prev: np.ndarray, scratch: np.ndarray) -> float:
-    """||new - prev|| / ||prev|| in the Frobenius norm, inf when prev is
-    zero. The difference is formed in `scratch`, which may be `prev`."""
-    denom = np.linalg.norm(prev)
-    return np.linalg.norm(np.subtract(new, prev, out=scratch)) / denom if denom > 0.0 else np.inf
+def _tv_fields(delta: np.ndarray, grid: tuple[int, ...]) -> dict:
+    """The fields of `tv_prox` on `grid`, with `delta` as the iterate: its
+    two other buffers, the shrunk gradient (dh, dv), the Bregman variable
+    (bh, bv), the pass scratch `work` and the eigenvalues `eig`."""
+    _, eig = _neumann_basis(grid[0], BREGMAN_PENALTY_SCALE)
+    return {"delta": delta, "delta_prev": np.empty_like(delta), "spare": np.empty_like(delta),
+            **{name: np.empty(grid) for name in ("dh", "dv", "bh", "bv", "work")},
+            "eig": np.broadcast_to(eig, grid)}
 
 
-class BregmanState:
-    """Warm state of `tv_prox` on an (n, n, K) stack.
-
-    `u` is the iterate, (`dh`, `dv`) the shrunk gradient and (`bh`, `bv`)
-    the Bregman variable. The state also owns the scratch that every pass
-    writes into: two spare iterates and one work buffer, all of the same
-    shape. A call given a state updates it in place and allocates nothing.
-    `blocks` holds the views of these buffers on each row block of the grid,
-    made once here.
-    """
-
-    def __init__(self, u: np.ndarray):
-        self.u = u
-        self.dh, self.dv, self.bh, self.bv = (np.zeros_like(u) for _ in range(4))
-        self.spares = [np.empty_like(u), np.empty_like(u)]
-        self.work = np.empty_like(u)
-        _, eig = _neumann_basis(len(u), BREGMAN_PENALTY_SCALE)
-        self.blocks = tuple(_BregmanRows(self, rows, eig) for rows in _field_blocks(u.shape))
-
-
-class _BregmanRows:
-    """Views of one row block of a `BregmanState`: `rows` is the block's
-    range, `dh` .. `work` and the eigenvalues `eig` are its rows of those
-    arrays, and `self[buffer]` gives its rows of one of the three iterate
-    buffers, which rotate between `u` and the spares."""
-
-    def __init__(self, st: BregmanState, rows: slice, eig: np.ndarray):
-        self.rows = rows
-        self.dh, self.dv, self.bh, self.bv, self.work, self.eig = (
-            part[rows] for part in (st.dh, st.dv, st.bh, st.bv, st.work, eig))
-        self._iterates = {id(buf): buf[rows] for buf in (st.u, *st.spares)}
-
-    def __getitem__(self, buf: np.ndarray) -> np.ndarray:
-        return self._iterates[id(buf)]
-
-
-def _shrink_step(st: _BregmanRows, thresh: float) -> None:
+def _shrink_step(st: SimpleNamespace, thresh: float) -> None:
     """Isotropic shrinkage of the pair held in (bh, bv) by thresh into
     (dh, dv), then b <- (bh, bv) - d: the Bregman update reuses the sum
     grad u + b that the shrink is applied to."""
@@ -448,11 +422,12 @@ def _shrink_step(st: _BregmanRows, thresh: float) -> None:
     st.bv -= st.dv
 
 
-def _bregman_pass(v: np.ndarray, st: BregmanState, out: np.ndarray,
+def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace,
                   basis: np.ndarray, scale: float, thresh: float) -> float:
-    """One split-Bregman pass from st.u, writing the new iterate into `out`
-    and updating (dh, dv, bh, bv) in place; st.u is left as it was. Returns
-    the relative change of the iterate.
+    """One split-Bregman pass from the iterate `src`, writing the new
+    iterate into ws.delta and updating (dh, dv, bh, bv) in place; `src`,
+    on the grid like `v`, is left as it was. Returns the relative change of
+    the iterate.
 
     The pass runs as stages over the row blocks of the grid, each stage
     finishing on every block before the next starts, because the gradient
@@ -464,28 +439,28 @@ def _bregman_pass(v: np.ndarray, st: BregmanState, out: np.ndarray,
     last digits of some columns. The norms of the relative change are
     taken whole too.
     """
-    n = len(out)
-    u, work = st.u, st.work
+    n = len(v)
+    out, work = ws.delta.reshape(ws.grid), ws.work
 
     def subtract(blk):  # d - b, in d's buffers
         blk.dh -= blk.bh
         blk.dv -= blk.bv
 
     def rhs(blk):  # v + scale * grad^T (d - b)
-        o = blk[out]
-        _gradient_adjoint_rows(st.dh, st.dv, blk.rows, o)
+        o = blk.delta
+        _gradient_adjoint_rows(ws.dh, ws.dv, blk.rows, o)
         o *= scale
         np.add(v[blk.rows], o, out=o)
 
     def solve(blk):  # the forward transform's axis-1 product, then the inverse
-        o = blk[out]
+        o = blk.delta
         np.matmul(basis, blk.work, out=o)
         o /= blk.eig
 
     def synthesize(blk):  # the inverse transform's axis-1 product; the change
-        o = blk[out]
+        o = blk.delta
         np.matmul(basis.T, blk.work, out=o)
-        np.subtract(o, blk[u], out=blk.work)
+        np.subtract(o, src[blk.rows], out=blk.work)
 
     def shrink(blk):  # b += grad out, shrunk into d
         _gradient_rows(out, blk.rows, blk.dh, blk.dv)
@@ -493,20 +468,20 @@ def _bregman_pass(v: np.ndarray, st: BregmanState, out: np.ndarray,
         blk.bv += blk.dv
         _shrink_step(blk, thresh)
 
-    parallel.map_blocks(subtract, st.blocks)
-    parallel.map_blocks(rhs, st.blocks)
+    parallel.map_blocks(subtract, ws.blocks)
+    parallel.map_blocks(rhs, ws.blocks)
     np.matmul(basis, out.reshape(n, -1), out=work.reshape(n, -1))
-    parallel.map_blocks(solve, st.blocks)
+    parallel.map_blocks(solve, ws.blocks)
     np.matmul(basis.T, out.reshape(n, -1), out=work.reshape(n, -1))
-    parallel.map_blocks(synthesize, st.blocks)
-    denom = np.linalg.norm(u)
+    parallel.map_blocks(synthesize, ws.blocks)
+    denom = np.linalg.norm(src)
     rel = np.linalg.norm(work) / denom if denom > 0.0 else np.inf
-    parallel.map_blocks(shrink, st.blocks)
+    parallel.map_blocks(shrink, ws.blocks)
     return rel
 
 
 def tv_prox(field: np.ndarray, weight: float, grid_side: int,
-            cfg: SolverConfig, state: BregmanState | None = None) -> tuple[np.ndarray, dict]:
+            cfg: SolverConfig, state: Workspace | None = None) -> tuple[np.ndarray, dict]:
     """Approximate minimizer of weight * TV(u) + 0.5 * ||u - field||^2.
 
     Split Bregman with an auxiliary gradient variable and isotropic
@@ -522,15 +497,17 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     at least 2 * MIN_BLOCK_ENTRIES entries and the BLAS can be pinned; the
     result is bit-identical whatever the block count.
 
-    Passing the `state` from a previous call's info dict warm starts the
-    iteration; callers that solve a sequence of nearby targets (the
-    membership ADMM) converge in a couple of passes that way. Such a call
-    updates that `BregmanState` in place and returns the same object, and
-    the returned field is a view of its iterate, which the next call given
-    the state overwrites. The call leaves the buffer of the iterate it
-    started from unchanged, so a caller may still compare the new iterate
-    with the previous call's result. A cold call (no state) and a constant
-    input return a fresh state.
+    `state` is a `Workspace` with the fields of `_tv_fields`: the
+    membership ADMM's, or the one a previous call returned in its info
+    dict; a call without one makes a small one. The first call on a
+    workspace starts cold, seeding (d, b) from the input's gradient. Later
+    calls warm start from its iterate `delta` and (d, b); callers that
+    solve a sequence of nearby targets (the membership ADMM) converge in a
+    couple of passes that way. A call updates the workspace in place and
+    allocates no field. The returned field is a view of `delta`, which the
+    next call overwrites; the iterate the call started from is kept
+    unchanged in `delta_prev`, so a caller may still compare the two. A
+    constant input is its own prox: it becomes `delta`, with (d, b) zero.
     """
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
@@ -542,39 +519,54 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         raise ValueError("input must be finite")
     n = int(grid_side)
     v = v_in.reshape(n, n, -1)
-
-    if lo == hi:  # constant input: TV is zero, v is the exact prox
-        return v_in.copy(), {"iterations": 0, "state": BregmanState(v.copy())}
-
-    basis, _ = _neumann_basis(n, scale)
-
     if state is None:
+        state = Workspace(v.shape, **_tv_fields(np.empty(v_in.shape), v.shape))
+    state.swap("delta", "delta_prev")
+    src, passes = state.delta_prev.reshape(v.shape), cfg.bregman_max
+    if lo == hi:  # constant input: TV is zero, v is the exact prox
+        np.copyto(state.delta.reshape(v.shape), v)
+        for part in (state.dh, state.dv, state.bh, state.bv):
+            part.fill(0.0)
+        passes = 0
+    elif not state.warm:
         # seed the shrinkage pair from the input's gradients; the first
-        # inner solve with this seed would leave u untouched, so the loop
-        # starts directly at the solve for the seeded pair
-        state = BregmanState(v.copy())
-
+        # inner solve with this seed would leave u = v untouched, so the
+        # loop starts directly at the solve for the seeded pair, from v
         def seed(blk):
-            _gradient_rows(state.u, blk.rows, blk.bh, blk.bv)
+            _gradient_rows(v, blk.rows, blk.bh, blk.bv)
             _shrink_step(blk, thresh)
         parallel.map_blocks(seed, state.blocks)
+        src = v
+    state.warm = True
 
-    # each pass writes into a spare that is not the starting iterate, so
-    # the previous call's result stays intact through the call
-    start = state.u
+    basis, _ = _neumann_basis(n, scale)
     iterations = 0
-    for iterations in range(1, cfg.bregman_max + 1):
-        out = state.spares.pop()
-        rel = _bregman_pass(v, state, out, basis, scale, thresh)
-        if state.u is not start:
-            state.spares.append(state.u)
-        state.u = out
+    for iterations in range(1, passes + 1):
+        if iterations > 1:  # the last pass's iterate is the next one's source
+            state.swap("delta", "spare")
+            src = state.spare.reshape(v.shape)
+        rel = _bregman_pass(v, src, state, basis, scale, thresh)
         if rel < cfg.bregman_tol:
             break
-    if state.u is not start:
-        state.spares.append(start)
+    return state.delta.reshape(v_in.shape), {"iterations": iterations, "state": state}
 
-    return state.u.reshape(v_in.shape), {"iterations": iterations, "state": state}
+
+def admm_workspace(responsibilities: np.ndarray, memberships: np.ndarray, grid_side: int,
+                   tv_split_penalty: float, simplex_split_penalty: float) -> Workspace:
+    """The workspace of one membership ADMM on (N, K) fields of an n x n
+    grid: the fields of `tv_prox` and of `update_coupling`, formed from
+    these responsibilities and penalties, and the ADMM's own: the coupling
+    `eta`, the simplex block `psi`, the multipliers `lam_tv` and
+    `lam_simplex`, and the TV target `target`. The TV iterate `delta`,
+    `eta` and `psi` start at `memberships`, the multipliers at zero."""
+    g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
+    delta = np.array(memberships, dtype=np.float64)
+    grid = (grid_side, grid_side, delta.shape[-1])
+    ws = Workspace(grid, **_tv_fields(delta, grid), **_coupling_fields(responsibilities, g1, g2),
+                   eta=delta.copy(), psi=delta.copy(), lam_tv=np.zeros_like(delta),
+                   lam_simplex=np.zeros_like(delta), target=np.empty_like(delta))
+    ws.responsibilities, ws.penalties = responsibilities, (g1, g2)
+    return ws
 
 
 # ----------------------------------------------------------------------

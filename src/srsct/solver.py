@@ -21,10 +21,9 @@ from .config import ClassPrior, SolverConfig, VARIANTS
 from .errors import DivergenceError
 from .geometry import Sinogram, SystemMatrix, apply
 from .kernels import (
-    coupling_work,
+    admm_workspace,
     image_gradient,
     normalize_to_simplex,
-    relative_change,
     solve_reconstruction,
     total_variation,
     tv_prox,
@@ -127,67 +126,60 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     feasible by construction. Raises DivergenceError, naming the iteration,
     once an iterate is no longer finite.
 
-    The fields are allocated once per call, the ADMM's before the first
-    iteration and the TV prox's state by its first call, and every
-    iteration updates them in place.
+    Every field lives in one `admm_workspace`, allocated once per call
+    and updated in place by every iteration; the returned field is a view
+    of its `psi`.
     """
     phi = np.asarray(responsibilities, dtype=np.float64)
     if phi.ndim != 2 or np.any(phi < 0.0):
         raise ValueError("responsibilities must be a nonnegative (N, K) field")
-    delta = np.array(memberships_init, dtype=np.float64)
-    eta = delta.copy()
-    psi = delta.copy()
-    lam_tv = np.zeros_like(delta)
-    lam_simplex = np.zeros_like(delta)
-    target = np.empty_like(delta)
     g1 = cfg.tv_split_penalty
     g2 = cfg.simplex_split_penalty
 
     iterations = 0
     bregman_total = 0
     rel = np.inf
-    tv_state = None
     # overflow and NaN are caught by the finiteness test on each target
     with np.errstate(over="ignore", invalid="ignore"):
-        coupling = coupling_work(phi, g1, g2)
+        ws = admm_workspace(phi, memberships_init, grid_side, g1, g2)
         for iterations in range(1, cfg.admm_max + 1):
-            delta_prev = delta
-            np.divide(lam_tv, g1, out=target)
-            np.subtract(eta, target, out=target)
-            if not math.isfinite(target.sum()):
+            np.divide(ws.lam_tv, g1, out=ws.target)
+            np.subtract(ws.eta, ws.target, out=ws.target)
+            if not math.isfinite(ws.target.sum()):
                 raise DivergenceError(f"membership ADMM produced non-finite values "
                                       f"at iteration {iterations}")
+            # either way the previous TV block moves into delta_prev
             if cfg.tv_weight > 0.0:
-                delta, tv_info = tv_prox(target, cfg.tv_weight / g1, grid_side, cfg,
-                                         state=tv_state)
-                tv_state = tv_info["state"]
+                tv_info = tv_prox(ws.target, cfg.tv_weight / g1, grid_side, cfg, state=ws)[1]
                 bregman_total += tv_info["iterations"]
-            else:
-                delta, target = target, delta
-            # tv_prox leaves delta_prev's values intact; nothing reads them
-            # after this, so the difference is formed in place
-            rel = relative_change(delta, delta_prev, delta_prev)
-            # from here `target` is free and serves as scratch
-            update_coupling(delta, psi, lam_tv, lam_simplex, phi, g1, g2,
-                            out=eta, work=coupling)
-            normalize_to_simplex(eta, lam_simplex, g2, SIMPLEX_FLOOR, out=psi)
-            np.subtract(delta, eta, out=target)
-            target *= g1
-            lam_tv += target
-            np.subtract(eta, psi, out=target)
-            target *= g2
-            lam_simplex += target
+            else:  # the TV block is its target, whose buffer delta takes
+                ws.swap("delta", "delta_prev")
+                ws.swap("delta", "target")
+            # the TV block's relative change; from here `target` is free
+            # and serves as scratch
+            denom = np.linalg.norm(ws.delta_prev)
+            np.subtract(ws.delta, ws.delta_prev, out=ws.target)
+            rel = np.linalg.norm(ws.target) / denom if denom > 0.0 else np.inf
+            update_coupling(ws.delta, ws.psi, ws.lam_tv, ws.lam_simplex, phi, g1, g2,
+                            out=ws.eta, work=ws)
+            normalize_to_simplex(ws.eta, ws.lam_simplex, g2, SIMPLEX_FLOOR, out=ws.psi, work=ws)
+            np.subtract(ws.delta, ws.eta, out=ws.target)
+            ws.target *= g1
+            ws.lam_tv += ws.target
+            np.subtract(ws.eta, ws.psi, out=ws.target)
+            ws.target *= g2
+            ws.lam_simplex += ws.target
 
             # the TV block is computed from the previous duals, so its change
             # is only meaningful once those have moved at least once
             if iterations > 1 and rel < cfg.admm_tol:
                 break
 
-    if not np.all(np.isfinite(psi)):
+    if not np.all(np.isfinite(ws.psi)):
         raise DivergenceError(f"membership ADMM produced non-finite values "
                               f"at iteration {iterations}")
-    return psi, {"iterations": iterations, "rel_change": float(rel),
-                 "bregman_iterations": bregman_total}
+    return ws.psi, {"iterations": iterations, "rel_change": float(rel),
+                    "bregman_iterations": bregman_total}
 
 
 @parallel.one_blas_thread()

@@ -1,6 +1,7 @@
 """Experiment harness: config handling, trial reports, artifacts, CLI."""
 
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import srsct.experiment as exp
 from srsct.cli import main
 from srsct.config import (
     ExperimentConfig,
@@ -37,6 +39,16 @@ SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
 TYPE_SAMPLES = {"bool": ("off", False), "int": ("7", 7), "float": ("0.5", 0.5)}
 STRING_SAMPLES = {"phantom": ("smooth", "smooth"), "angles": ("12:12:180", "12:12:180"),
                   "variant": ("model-9", "model-9"), "out_dir": ("runs/x", "runs/x")}
+
+
+REAL_RUN_TRIAL = exp.run_trial
+
+
+def killed_at_seed_3(cfg, seed):
+    """run_trial, except that the process running seed 3 is killed."""
+    if seed == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return REAL_RUN_TRIAL(cfg, seed)
 
 
 def fast_config(**overrides):
@@ -336,6 +348,40 @@ class TestCli:
         assert run.stderr.startswith("srs: configuration error: "), run.stderr
         assert "Traceback" not in run.stderr
         assert not out.exists()
+
+    # the small CLI run of the fault rule's tests: trials of seeds 3 and 4
+    FAULT_ARGV = ["run", "--phantom", "piecewise", "--n", "16", "--trials", "2",
+                  "--seed", "3", "--noise", "0.02"]
+
+    @staticmethod
+    def assert_first_trial_failed(out):
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[1].startswith("3,nan,nan,") and lines[1].endswith(",failed")
+
+    def test_raising_trial_fails_with_traceback_and_exit_two(self, tmp_path, monkeypatch,
+                                                              capsys):
+        real = exp.reconstruct_and_segment
+
+        def faulty(problem, cfg, variant):
+            if problem.sinogram.seed == 3:
+                raise RuntimeError("forced fault")
+            return real(problem, cfg, variant)
+
+        monkeypatch.delenv("SRS_THREADS", raising=False)
+        monkeypatch.setattr(exp, "reconstruct_and_segment", faulty)
+        assert main(self.FAULT_ARGV + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: forced fault" in err
+        self.assert_first_trial_failed(tmp_path)
+        assert (tmp_path / "report.csv").read_text().splitlines()[2].endswith(",ok")
+
+    def test_killed_pool_worker_fails_its_trial_and_exit_two(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setenv("SRS_THREADS", "2")
+        monkeypatch.setattr(exp, "run_trial", killed_at_seed_3)
+        assert main(self.FAULT_ARGV + ["--out", str(tmp_path)]) == 2
+        assert "BrokenProcessPool" in capsys.readouterr().err
+        self.assert_first_trial_failed(tmp_path)
 
     def test_partial_failure_exit_two(self, monkeypatch):
         import srsct.cli as cli

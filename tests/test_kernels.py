@@ -36,10 +36,10 @@ from srsct import (
 from srsct import geometry, kernels, parallel
 from srsct.kernels import (
     BREGMAN_PENALTY_SCALE,
-    BregmanState,
+    Workspace,
     _class_sum,
     _neumann_basis,
-    coupling_work,
+    admm_workspace,
 )
 
 
@@ -175,9 +175,9 @@ class TestUpdateCoupling:
 
     def test_work_matches_a_call_without_it(self):
         rng = np.random.default_rng(11)
-        memb, simp, resp = (rng.dirichlet(np.ones(3), size=12) for _ in range(3))
-        l1, l2 = rng.standard_normal((2, 12, 3))
-        work = coupling_work(resp, 0.7, 1.3)
+        memb, simp, resp = (rng.dirichlet(np.ones(3), size=16) for _ in range(3))
+        l1, l2 = rng.standard_normal((2, 16, 3))
+        work = admm_workspace(resp, memb, 4, 0.7, 1.3)
         out = np.empty_like(memb)
         eta = update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3, out=out, work=work)
         assert eta is out
@@ -185,9 +185,9 @@ class TestUpdateCoupling:
 
     def test_work_from_other_inputs_rejected(self):
         rng = np.random.default_rng(12)
-        memb, simp, resp = (rng.dirichlet(np.ones(3), size=12) for _ in range(3))
+        memb, simp, resp = (rng.dirichlet(np.ones(3), size=16) for _ in range(3))
         zeros = np.zeros_like(memb)
-        work = coupling_work(resp, 0.7, 1.3)
+        work = admm_workspace(resp, memb, 4, 0.7, 1.3)
         for args in [(resp.copy(), 0.7, 1.3), (resp, 0.7, 2.0), (resp, 2.0, 1.3)]:
             with pytest.raises(ValueError, match="other responsibilities or penalties"):
                 update_coupling(memb, simp, zeros, zeros, *args, work=work)
@@ -254,6 +254,18 @@ class TestNormalizeToSimplex:
         out = normalize_to_simplex(coupling, mult, penalty, 1e-4)
         assert np.all((out > 0) & (out < 1))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kernel", ["coupling", "simplex"])
+def test_operand_of_another_shape_rejected(kernel):
+    # a (K,) multiplier no longer broadcasts along the rows: every operand
+    # has the field's shape
+    field, row = np.full((4, 3), 1 / 3), np.zeros(3)
+    with pytest.raises(ValueError, match=r"operand of shape \(3,\) does not match"):
+        if kernel == "coupling":
+            update_coupling(field, field, row, field, field, 1.0, 2.0)
+        else:
+            normalize_to_simplex(field, row, 2.0, 1e-4)
 
 
 class TestUpdateResponsibilities:
@@ -480,11 +492,12 @@ def allocating_tv_prox(v_flat, weight, n, cfg, state=None):
 
 
 def state_arrays(state):
-    return (state.u, state.dh, state.dv, state.bh, state.bv)
+    return (state.delta.reshape(state.grid), state.dh, state.dv, state.bh, state.bv)
 
 
 def state_buffers(state):
-    return [*state_arrays(state), *state.spares, state.work]
+    return [state.delta, state.delta_prev, state.spare, state.dh, state.dv, state.bh, state.bv,
+            state.work]
 
 
 class TestTvProxInPlace:
@@ -512,39 +525,41 @@ class TestTvProxInPlace:
         cfg = SolverConfig(bregman_max=3, bregman_tol=1e-12)
         _, cold = tv_prox(v, 0.4, 8, cfg)
         state = cold["state"]
-        start = state.u
+        start = state.delta
         buffers = {id(buf) for buf in state_buffers(state)}
         before = [part.copy() for part in state_arrays(state)]
         out, warm = tv_prox(v + 0.1, 0.4, 8, cfg, state=state)
         assert warm["state"] is state
         assert warm["iterations"] == 3
-        # the same buffers, rotated among u and the spares, and no new ones
+        # the same buffers, rotated among the iterate's three, and no new ones
         assert {id(buf) for buf in state_buffers(state)} == buffers
-        assert np.shares_memory(out, state.u)
+        assert np.shares_memory(out, state.delta)
         for old, new in zip(before, state_arrays(state)):
             assert not np.array_equal(old, new)
         # three passes, and the iterate they started from is still intact
-        assert start is not state.u
-        assert np.array_equal(start, before[0])
+        assert start is not state.delta and start is state.delta_prev
+        assert np.array_equal(start.reshape(state.grid), before[0])
 
-    def test_cold_and_constant_calls_return_fresh_state(self):
+    def test_cold_call_returns_fresh_state_and_constant_call_resets_it(self):
         rng = np.random.default_rng(14)
         v = rng.standard_normal((64, 2))
         cfg = SolverConfig()
         out, cold = tv_prox(v, 0.4, 8, cfg)
         given = cold["state"]
-        assert isinstance(given, BregmanState)
+        assert isinstance(given, Workspace)
         assert not any(np.shares_memory(buf, v) for buf in state_buffers(given))
-        before = [buf.copy() for buf in state_arrays(given)]
+        buffers = {id(buf) for buf in state_buffers(given)}
+        before = state_arrays(given)[0].copy()
         flat = np.full((64, 2), 0.3)
         out, const = tv_prox(flat, 0.4, 8, cfg, state=given)
         assert const["iterations"] == 0 and np.array_equal(out, flat)
-        fresh = const["state"]
-        assert fresh is not given
-        assert not any(np.shares_memory(a, b) for a in state_buffers(fresh)
-                       for b in [*state_buffers(given), flat, out])
-        for old, buf in zip(before, state_arrays(given)):
-            assert np.array_equal(old, buf)
+        # the same workspace and buffers: the input became its iterate, with
+        # (d, b) at zero, and the iterate it started from is still intact
+        assert const["state"] is given
+        assert {id(buf) for buf in state_buffers(given)} == buffers
+        assert np.shares_memory(out, given.delta) and not np.shares_memory(out, flat)
+        assert not any(part.any() for part in state_arrays(given)[1:])
+        assert np.array_equal(given.delta_prev.reshape(given.grid), before)
 
 
 class TestTvProxInnerSolve:
@@ -631,7 +646,7 @@ class TestSplitKernels:
         l1, l2 = rng.standard_normal((2, n * n, k))
 
         def run():
-            work = coupling_work(resp, 0.7, 1.3)
+            work = admm_workspace(resp, memb, n, 0.7, 1.3)
             eta = update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3, work=work)
             # shifted down so that some scores are clamped at the floor
             psi = normalize_to_simplex(eta - 0.3, l2, 2.0, 1e-4)
@@ -687,7 +702,7 @@ def test_admm_kernels_stay_one_block_without_blas_control(monkeypatch):
     field = np.random.default_rng(3).random((64, 3))
     _, info = tv_prox(field, 0.5, 8, SolverConfig())
     assert len(info["state"].blocks) == 1
-    assert len(coupling_work(field, 1.0, 2.0).blocks) == 1
+    assert len(admm_workspace(field, field, 8, 1.0, 2.0).blocks) == 1
     assert len(kernels._field_blocks(field.shape)) == 1
     system = geometry.build_parallel_geometry(16, 23, [45.0, 90.0])
     assert system._blocks == (system._matrix,)

@@ -173,14 +173,17 @@ class TestMembershipSubproblemInPlace:
 class TestSplitAdmm:
     """The ADMM with its kernels cut into row blocks equals its one-block run."""
 
+    # tv_weight 0 takes the swap path in place of the TV prox
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("n", [7, 33])
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_membership_subproblem(self, admm_blocks, n, k, count):
+    @pytest.mark.parametrize("k,tv_weight", [(1, 0.5), (3, 0.5), (8, 0.5),
+                                             (1, 0.0), (3, 0.0), (8, 0.0)],
+                             ids=["1", "3", "8", "1-no-tv", "3-no-tv", "8-no-tv"])
+    def test_membership_subproblem(self, admm_blocks, n, k, tv_weight, count):
         rng = np.random.default_rng(300 * n + k)
         resp = rng.dirichlet(np.ones(k), size=n * n)
         init = rng.dirichlet(np.ones(k), size=n * n)
-        cfg = SolverConfig(tv_weight=0.5, admm_max=40)
+        cfg = SolverConfig(tv_weight=tv_weight, admm_max=40)
         admm_blocks(1)
         whole, whole_info = solve_membership_subproblem(resp, init, cfg, n)
         admm_blocks(count)
