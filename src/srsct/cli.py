@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Exit codes: 0 on full success, 1 on configuration errors, 2 when some
-trials failed but the run completed. A trial fails when it raises or its
-pool worker dies; its traceback goes to stderr.
+trials failed but the run completed. A trial fails when it raises, or when
+its pool worker dies also on a rerun alone in a fresh pool; its traceback
+goes to stderr.
 """
 
 from __future__ import annotations

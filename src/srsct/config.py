@@ -116,6 +116,8 @@ def parse_angles(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"angle spec {spec!r} must be start:step:stop")
     start, step, stop = (float(x) for x in parts)
+    if not np.all(np.isfinite((start, step, stop))):
+        raise ValueError(f"angle spec {spec!r} must be finite")
     if step <= 0:
         raise ValueError("angle step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -108,6 +108,19 @@ def _outcome(seed: int, run, *args):
         return TrialResult(seed, float("nan"), float("nan"), 0.0, 0, "failed"), None
 
 
+def _pool_outcomes(cfg: ExperimentConfig, seeds, workers: int):
+    """The _outcome of each seed's trial on a pool of workers, in seed order;
+    a trial that a broken pool left unfinished runs again alone."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_trial, cfg, seed) for seed in seeds]
+        for seed, future in zip(seeds, futures):
+            if isinstance(future.exception(), BrokenProcessPool):
+                with ProcessPoolExecutor(max_workers=1) as alone:
+                    yield _outcome(seed, alone.submit(run_trial, cfg, seed).result)
+            else:
+                yield _outcome(seed, future.result)
+
+
 def worker_count() -> int:
     """The SRS_THREADS environment variable as an integer; 1 when unset or empty."""
     value = os.environ.get("SRS_THREADS") or "1"
@@ -124,28 +137,27 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     (apart from wall-clock times) regardless of worker count. The worker
     pool size comes from the SRS_THREADS environment variable; unset or <2
     runs sequentially, and a value that is not an integer raises ValueError.
-    Either way a trial that raises, or whose pool worker dies, is marked
-    failed and its traceback goes to stderr.
+    Either way a trial that raises is marked failed and its traceback goes
+    to stderr. A pool worker that dies breaks the whole pool; each trial it
+    left unfinished runs again alone in a fresh one-worker pool, and fails
+    the same way if that worker dies too.
     Output files (report.csv, x_final.pgm, labels.csv, energy_trace.csv for
     the first trial) are written when out_dir is set.
     """
     seeds = range(cfg.seed, cfg.seed + cfg.trials)
     workers = min(worker_count(), cfg.trials)
 
+    if workers > 1:
+        # build the scan before the fork so the workers inherit it
+        _scan_setup(cfg.phantom, cfg.grid_side, cfg.detector_pixels, cfg.angles)
+        outcomes = _pool_outcomes(cfg, seeds, workers)
+    else:
+        outcomes = (_outcome(seed, run_trial, cfg, seed) for seed in seeds)
     trials, first_result = [], None
-    with ExitStack() as stack:
-        if workers > 1:
-            # build the scan before the fork so the workers inherit it
-            _scan_setup(cfg.phantom, cfg.grid_side, cfg.detector_pixels, cfg.angles)
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            futures = [pool.submit(run_trial, cfg, seed) for seed in seeds]
-            outcomes = (_outcome(seed, f.result) for seed, f in zip(seeds, futures))
-        else:
-            outcomes = (_outcome(seed, run_trial, cfg, seed) for seed in seeds)
-        for trial, result in outcomes:
-            if not trials:
-                first_result = result
-            trials.append(trial)
+    for trial, result in outcomes:
+        if not trials:
+            first_result = result
+        trials.append(trial)
 
     ok = [t for t in trials if t.status == "ok"]
     if ok:

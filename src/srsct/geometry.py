@@ -35,6 +35,14 @@ _AXIS_SNAP = 1e-12
 # projector (157,232 nonzeros) takes about 250 us in two blocks against
 # 180 us in one, while the 128x128 one (1.26M) gains about a quarter.
 MIN_BLOCK_NNZ = 250_000
+# Fewest traced units, rays times grid side (about the nonzeros they
+# write), in an angle block of the build. Measured on two cores, one block
+# against two (medians of 5 to 41 timings): tracing the 64x64 reference scan
+# (174,720 units) took 17.6 against 17.1 ms and its whole build 21.1 against
+# 22.9 ms; the 128x128 sweep scan (1.40M) 113 against 64 ms, build 165
+# against 112 ms; the 256x256 one (11.2M) 1.20 against 0.65 s, build 1.73
+# against 1.39 s. So the 64x64 scans stay one block.
+MIN_TRACE_UNITS = 250_000
 
 
 class SystemMatrix:
@@ -152,12 +160,37 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
     Each stored value is the intersection length (in pixel units) of one ray
     with one pixel, found by sorting the ray's crossing parameters with all
     grid lines and assigning each segment to the pixel containing its
-    midpoint. Rays are traced in row order (angle-major, then ray), so each
-    ray's hit count, columns and values are its CSR row as they stand. The
-    build is vectorized per angle and bit-reproducible.
+    midpoint. Rows are angle-major, then ray. The angle list is cut into
+    consecutive blocks by the one block rule (`parallel.block_count`, at
+    least MIN_TRACE_UNITS each), and the blocks are traced at once on the
+    thread pool (`parallel.map_blocks`). Each block makes its own rows
+    canonical, sorted by column with duplicate (ray, pixel) entries summed,
+    as scipy's `sum_duplicates` does for the whole matrix; no row spans two
+    blocks, so the blocks are then concatenated as they stand. The matrix is
+    bit-identical whatever the block count, and reproducible.
     """
     n, p, angles = check_scan(grid_side, detector_pixels, angles_deg)
+    # whole angles per block, each angle p * n units
+    count = parallel.block_count(len(angles), -(-MIN_TRACE_UNITS // (p * n)))
+    blocks = [angles[len(angles) * i // count:len(angles) * (i + 1) // count]
+              for i in range(count)]
+    parts = parallel.map_blocks(lambda block: _trace_rows(n, p, block), blocks)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(
+        [np.diff(part.indptr) for part in parts]))))
+    matrix = sp.csr_matrix((np.concatenate([part.data for part in parts]),
+                            np.concatenate([part.indices for part in parts]), indptr),
+                           shape=(p * len(angles), n * n))
+    del parts  # free the blocks before the transposed copy
+    return SystemMatrix(matrix, detector_pixels=p, angles_deg=tuple(angles))
 
+
+def _trace_rows(n: int, p: int, angles: list[float]) -> sp.csr_matrix:
+    """The canonical CSR rows of the rays at these angles, angle-major.
+
+    Rays are traced in row order, so each ray's hit count, columns and
+    values are its row as they stand; a ray that crosses a pixel corner can
+    hit one pixel twice, which `sum_duplicates` sums after sorting the row.
+    """
     half = n / 2.0
     spacing = n * math.sqrt(2.0) / p
     offsets = (np.arange(p) - (p - 1) / 2.0) * spacing
@@ -205,8 +238,8 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
         tm = 0.5 * (t[:, :-1] + t[:, 1:])
         mx = ox[:, None] + tm * dx
         my = oy[:, None] + tm * dy
-        ix = np.floor(mx + half).astype(np.int64)
-        iy = np.floor(my + half).astype(np.int64)
+        ix = np.floor(mx + half).astype(np.int32)
+        iy = np.floor(my + half).astype(np.int32)
         # a missed ray has t_in = t_out = 0, so all its segments are empty
         valid = (seg > 0.0) & (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
         counts_all.append(np.count_nonzero(valid, axis=1))
@@ -214,10 +247,10 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
         vals_all.append(seg[valid])
 
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts_all))))
-    matrix = sp.csr_matrix((np.concatenate(vals_all), np.concatenate(cols_all), indptr),
-                           shape=(p * len(angles), n * n))
-    del cols_all, vals_all  # free the pieces before the transposed copy
-    return SystemMatrix(matrix, detector_pixels=p, angles_deg=tuple(angles))
+    rows = sp.csr_matrix((np.concatenate(vals_all), np.concatenate(cols_all), indptr),
+                         shape=(p * len(angles), n * n))
+    rows.sum_duplicates()
+    return rows
 
 
 def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) -> np.ndarray:

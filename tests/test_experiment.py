@@ -72,6 +72,9 @@ class TestAngleSpec:
             parse_angles("6:180")
         with pytest.raises(ValueError):
             parse_angles("6:-6:180")
+        for spec in ("0:1:inf", "nan:6:180", "6:inf:180", "6:6:-inf"):
+            with pytest.raises(ValueError, match="must be finite"):
+                parse_angles(spec)
 
 
 class TestConfigFile:
@@ -331,8 +334,9 @@ class TestCli:
         (["run"], "detector_pixels = 0"),
         (["run"], "angles = 0:6:180"),
         (["run"], "prior_sigma = 0"),
+        (["run"], "angles = 0:1:inf"),
     ], ids=["n8", "n1", "negative-noise", "sweep-side-100", "zero-detector-pixels",
-            "zero-angle", "zero-prior-sigma"])
+            "zero-angle", "zero-prior-sigma", "infinite-angle-stop"])
     def test_bad_scan_settings_exit_one_before_any_trial(self, tmp_path, args, cfg_line):
         out = tmp_path / "out"
         argv = args + ["--trials", "1", "--out", str(out)]
@@ -380,8 +384,12 @@ class TestCli:
         monkeypatch.setenv("SRS_THREADS", "2")
         monkeypatch.setattr(exp, "run_trial", killed_at_seed_3)
         assert main(self.FAULT_ARGV + ["--out", str(tmp_path)]) == 2
-        assert "BrokenProcessPool" in capsys.readouterr().err
+        # seed 3's rerun alone dies too; seed 4's rerun, if the break cut it, is ok
+        err = capsys.readouterr().err
+        assert err.count("Traceback (most recent call last)") == 1
+        assert err.count("BrokenProcessPool:") == 1
         self.assert_first_trial_failed(tmp_path)
+        assert (tmp_path / "report.csv").read_text().splitlines()[2].endswith(",ok")
 
     def test_partial_failure_exit_two(self, monkeypatch):
         import srsct.cli as cli

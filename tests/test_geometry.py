@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import sys
 import threading
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,6 +286,125 @@ class TestRowBlocks:
                    pool.apply_async(fork_apply, (A, v, True)).get(timeout=60))
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
+
+
+REFERENCE_SCAN = (64, 91, [6.0 * k for k in range(1, 31)])
+# 45 degree rays through pixel corners: slivers of about 1e-15 give 12
+# (ray, pixel) pairs a second entry before the rows are made canonical
+CORNER_SCAN = (16, 3, [45.0, 90.0, 135.0])
+
+
+def matrix_arrays(system):
+    return [arr for mat in (system._matrix, system._matrix_t)
+            for arr in (mat.indptr, mat.indices, mat.data)]
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def build_arrays(n, p, angles):
+    return matrix_arrays(build_parallel_geometry(n, p, angles))
+
+
+@contextmanager
+def build_blocks(count):
+    """Trace the build in `count` angle blocks (at most one per angle),
+    whatever the host: the trace floor is lowered to one unit and that many
+    product threads are assumed."""
+    with mock.patch.object(geometry, "MIN_TRACE_UNITS", 1), \
+            mock.patch.object(parallel, "product_threads", lambda: count):
+        yield
+
+
+@pytest.fixture
+def traced_blocks(monkeypatch):
+    """The block counts of the calls to `parallel.map_blocks` from then on."""
+    counts, real = [], parallel.map_blocks
+
+    def counting(fn, blocks):
+        counts.append(len(blocks))
+        return real(fn, blocks)
+    monkeypatch.setattr(parallel, "map_blocks", counting)
+    return counts
+
+
+class TestSplitBuild:
+    def test_reference_scan_traces_in_one_block(self, monkeypatch, traced_blocks):
+        monkeypatch.setattr(parallel, "product_threads", lambda: 64)
+        build_parallel_geometry(*REFERENCE_SCAN)
+        assert traced_blocks == [1]
+
+    @pytest.mark.parametrize("scan", [REFERENCE_SCAN, CORNER_SCAN], ids=["reference", "corner"])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_blocks_build_the_one_block_matrix_bit_for_bit(self, traced_blocks, scan, count):
+        with build_blocks(1):
+            whole = build_arrays(*scan)
+        with build_blocks(count):
+            split = build_arrays(*scan)
+        assert traced_blocks == [1, count]
+        assert_same_arrays(split, whole)
+
+    def test_corner_rays_sum_their_duplicates_within_a_block(self, monkeypatch):
+        summed, real = [], sp.csr_matrix.sum_duplicates
+
+        def counting(matrix):
+            before = matrix.nnz
+            real(matrix)
+            summed.append(before - matrix.nnz)
+        monkeypatch.setattr(sp.csr_matrix, "sum_duplicates", counting)
+        with build_blocks(3):
+            A = build_parallel_geometry(*CORNER_SCAN)
+        # one canonicalisation per block, and nothing left for the whole matrix
+        assert summed == [2, 0, 10, 0]
+        assert A._matrix.has_canonical_format and np.all(A.values > 0.0)
+
+    @given(st.integers(2, 24), st.integers(1, 40), scan_angles(), st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_scan_in_blocks_equals_one_block(self, n, p, angles, count):
+        with build_blocks(1):
+            whole = build_arrays(n, p, angles)
+        with build_blocks(count):
+            assert_same_arrays(build_arrays(n, p, angles), whole)
+
+    def test_concurrent_builds_in_blocks(self):
+        # more building threads than cores, each tracing three blocks on the pool
+        scan = (16, 23, [10.0, 45.0, 90.0, 133.7, 135.0, 180.0])
+        with build_blocks(1):
+            expected = build_arrays(*scan)
+        failures = []
+
+        def worker():
+            for _ in range(10):
+                try:
+                    assert_same_arrays(build_arrays(*scan), expected)
+                except AssertionError:
+                    failures.append("build differs")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with build_blocks(3):
+                threads = [threading.Thread(target=worker) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_worker_builds_after_the_parent_built_in_blocks(self, traced_blocks):
+        with build_blocks(3):
+            expected = build_arrays(*REFERENCE_SCAN)
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                got = pool.apply_async(build_arrays, REFERENCE_SCAN).get(timeout=60)
+        assert traced_blocks == [3]
+        assert_same_arrays(got, expected)
 
 
 class TestApply:
