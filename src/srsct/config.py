@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,6 +35,9 @@ class SolverConfig:
     bregman_max: int = 200
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.data_weight <= 0:
             raise ValueError("data_weight must be positive")
         for name in ("tv_weight", "tikhonov_weight"):
@@ -60,6 +64,8 @@ class ClassPrior:
         self.std_devs = np.atleast_1d(np.asarray(self.std_devs, dtype=np.float64))
         if self.means.shape != self.std_devs.shape:
             raise ValueError("means and std_devs must have equal length")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.std_devs))):
+            raise ValueError("means and standard deviations must be finite")
         if np.any(self.std_devs <= 0):
             raise ValueError("standard deviations must be positive")
 
@@ -126,8 +132,17 @@ def parse_angles(spec: str) -> list[float]:
     return [start + step * k for k in range(count)]
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_bool(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
+    """1/0, true/false, yes/no or on/off, in any case; anything else is an error."""
+    try:
+        return _BOOLS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean (1/0, true/false, yes/no, on/off), "
+                         f"got {value!r}") from None
 
 
 # Config keys are the dataclass fields; each parses from its file string by

@@ -273,10 +273,11 @@ def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) ->
 
 
 def check_noise_level(noise_level: float) -> float:
-    """The relative noise level as a float; a negative level is rejected."""
+    """The relative noise level as a float; a negative or non-finite level
+    is rejected."""
     level = float(noise_level)
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not (math.isfinite(level) and level >= 0):
+        raise ValueError("noise level must be finite and nonnegative")
     return level
 
 

@@ -7,15 +7,20 @@ appear: simplex-interior fields have rows on the open probability simplex
 (entries in (0, 1), rows summing to 1) while coupling fields only need
 strictly positive entries.
 
-The membership ADMM keeps every field in one `Workspace` per call
-(`admm_workspace`), allocated once. Its kernels (`tv_prox`,
-`update_coupling`, `normalize_to_simplex`) update it in place, and make a
-small one when called without it. The TV iterate rotates among three
-buffers; the one a `tv_prox` call started from stays intact in
-`delta_prev`. The kernels run their elementwise and stencil work as
-stages over the workspace's row blocks, on `parallel.map_blocks`. Every
-entry is computed by the same operations in the same order whatever the
-block count, so results are bit-identical on any number of cores.
+The membership ADMM keeps every field class-major, as a (K, n, n) array of
+K class images, in one `Workspace` per call (`admm_workspace`), allocated
+once. In that layout each class image is contiguous: the gradient and its
+adjoint are flat shifts, the 2-D DCT is one GEMM per class and axis, and a
+class sum adds whole images. The kernels (`tv_prox`, `update_coupling`,
+`normalize_to_simplex`) update the workspace in place. Called on (N,) or
+(N, K) fields instead, a kernel transposes them into a small class-major
+workspace of its own and its result back out. The TV iterate rotates
+among three buffers; the one a `tv_prox` call started from stays intact
+in `delta_prev`. The kernels run their work as stages on
+`parallel.map_blocks`: the stencils and the elementwise updates over row
+blocks of the grid, the DCT over blocks of classes. Every entry is
+computed by the same operations in the same order whatever the block
+count, so results are bit-identical on any number of cores.
 """
 
 from __future__ import annotations
@@ -41,107 +46,99 @@ BREGMAN_PENALTY_SCALE = 2.0
 # Each block stage costs a thread handoff of about 55 us, and the threads
 # contend for the interpreter lock between numpy calls. On two cores, one
 # Bregman pass, coupling update and simplex step together took (medians of
-# five timings, one block against two) 2.6 against 3.3 ms at 64x64x8
-# (32,768 entries), 4.3 against 4.1 ms at 112x112x3 (37,632), 7.0 against
-# 6.0 ms at 128x128x3 (49,152) and 33 against 25 ms at 256x256x3.
+# 15 interleaved rounds, one block against two) 1.8 against 3.2 ms at
+# 64x64x8 (32,768 entries), 2.8 against 3.1 ms at 112x112x3 (37,632), 3.9
+# against 3.8 ms at 128x128x3 (49,152; two blocks faster in 8 of 15) and
+# 25 against 15 ms at 256x256x3.
 MIN_BLOCK_ENTRIES = 24_576
-# numpy's PW_BLOCKSIZE: a pairwise sum splits longer runs in two
-_PAIRWISE_BLOCK = 128
 
 
 # ----------------------------------------------------------------------
-# Row blocks and class sums
+# Row blocks and the class-major layout
 # ----------------------------------------------------------------------
+
+def _spans(length: int, count: int) -> tuple:
+    """`count` consecutive, nearly equal, nonempty slices of range(length)."""
+    bounds = [length * i // count for i in range(count + 1)]
+    return tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
+
 
 def _field_blocks(shape: tuple[int, ...]) -> tuple:
-    """The row blocks of a field of this shape: consecutive, nearly equal,
-    nonempty ranges of its first axis, one per block that
-    `parallel.block_count` grants it. A field of fewer than two dimensions
-    is one block."""
-    if len(shape) < 2:
-        return (...,)
-    rows = shape[0]
-    count = min(parallel.block_count(math.prod(shape), MIN_BLOCK_ENTRIES), max(rows, 1))
-    bounds = [rows * i // count for i in range(count + 1)]
-    return tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
+    """The row blocks of a field of this shape: ranges of its rows, the
+    second-to-last axis, one per block that `parallel.block_count` grants
+    the whole field."""
+    rows = shape[-2]
+    return _spans(rows, min(parallel.block_count(math.prod(shape), MIN_BLOCK_ENTRIES),
+                            max(rows, 1)))
 
 
 class Workspace:
     """Fields of the membership ADMM's kernels, allocated once and updated
-    in place: the keyword arrays, each viewed as `grid` without a copy (an
-    (N, K) field of an n x n grid as (n, n, K)). `blocks` holds, for each
-    row block of the grid, a namespace of its `rows` and, under each
-    field's name, its rows of that field, made here once. `swap` exchanges
-    two fields' buffers on the workspace and every block alike. `warm`
-    tells whether `tv_prox` has run on it.
+    in place: the keyword arrays, each class-major of shape `grid`, (K,
+    rows, columns), which is (K, n, n) for an n x n grid. `blocks` holds,
+    for each row block of the grid, a namespace of its `rows` and, under
+    each field's name, those rows of every class of that field, made here
+    once. `classes` cuts the class axis into at most as many blocks, for
+    the DCT. `swap` exchanges two fields' buffers on the workspace and
+    every block alike. `warm` tells whether `tv_prox` has run on it.
     """
 
-    def __init__(self, grid: tuple[int, ...], **fields: np.ndarray):
+    def __init__(self, grid: tuple[int, int, int], **fields: np.ndarray):
         self.grid, self.warm = grid, False
         self.__dict__.update(fields)
         self.blocks = tuple(
-            SimpleNamespace(rows=rows, **{key: f.reshape(grid)[rows] for key, f in fields.items()})
+            SimpleNamespace(rows=rows, **{key: f[:, rows] for key, f in fields.items()})
             for rows in _field_blocks(grid))
+        self.classes = _spans(grid[0], min(len(self.blocks), grid[0]))
 
     def swap(self, a: str, b: str) -> None:
         for part in (self, *self.blocks):
             part.__dict__[a], part.__dict__[b] = part.__dict__[b], part.__dict__[a]
 
 
+def _pixel_grid(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The class-major grid of a kernel's fields of this shape, when no
+    grid side comes with them: (K, N, 1) for pixel-major (N,) or (N, K)
+    fields, and a class-major shape itself."""
+    return shape if len(shape) == 3 else (math.prod(shape[1:]), shape[0], 1)
+
+
 def _in_grid(operand, shape: tuple[int, ...], grid: tuple[int, ...]) -> np.ndarray:
-    """An operand of a kernel as an array of the field's shape, viewed in
-    the workspace's grid. Raises ValueError for any other shape."""
+    """An operand of a kernel as a class-major array of `grid`: an operand
+    of that shape as it is, and one of the field's pixel-major `shape`,
+    (N,) or (N, K), transposed into a new array. Raises ValueError for any
+    other shape."""
     operand = np.asarray(operand)
+    if operand.shape == grid:
+        return operand
     if operand.shape != shape:
         raise ValueError(f"operand of shape {operand.shape} does not match the field's {shape}")
-    return operand.reshape(grid, copy=False)
+    return np.array(operand.reshape(len(operand), -1).T, order="C").reshape(grid)
 
 
-def _pairwise_sum(cols: list[np.ndarray]) -> np.ndarray:
-    """numpy's pairwise sum of 8 or more terms, as a new array: eight
-    accumulators combined as a tree, then the remainder one by one; runs
-    longer than _PAIRWISE_BLOCK are split in two at a multiple of 8 first."""
-    n = len(cols)
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(cols[:half])
-        total += _pairwise_sum(cols[half:])
-        return total
-    acc = cols[:8]
-    i = 8
-    if n >= 16:
-        acc = [a + c for a, c in zip(acc, cols[8:16])]
-        i = 16
-        while i + 8 <= n:
-            for a, c in zip(acc, cols[i:i + 8]):
-                a += c
-            i += 8
-    # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) in three buffers
-    total, right = np.add(acc[0], acc[1]), np.add(acc[2], acc[3])
-    total += right
-    np.add(acc[4], acc[5], out=right)
-    right += np.add(acc[6], acc[7])
-    total += right
-    for col in cols[i:]:
-        total += col
-    return total
+def _pixel_major(field: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A class-major field viewed in the pixel-major `shape`, (N,) or (N, K)."""
+    return field.reshape(len(field), -1).T.reshape(shape)
 
 
-def _class_sum(field: np.ndarray) -> np.ndarray:
-    """field.sum(axis=-1, keepdims=True) bit for bit, formed by adding whole
-    class columns in the order numpy 2.x sums each row: from zero one by
-    one below 8 classes, pairwise from 8 on, and that sum added to zero.
-    numpy reduces each short row in an inner-loop call of its own, which
-    costs several times more."""
-    cols = [field[..., k:k + 1] for k in range(field.shape[-1])]
-    if len(cols) >= 8:
-        total = _pairwise_sum(cols)
-        total += 0.0  # turns a -0 sum into +0, as numpy's does
-        return total
-    total = np.zeros((*field.shape[:-1], 1), dtype=field.dtype)
-    for col in cols:
-        total += col
-    return total
+def _result(out, shape: tuple[int, ...], grid: tuple[int, ...], dtype) -> tuple:
+    """(result, target) of a kernel: the array it returns, `out` or a new
+    one of `shape`, and the class-major array of `grid` that it writes,
+    which is the result itself when that is class-major. Otherwise
+    `_copy_out` transposes the target into the result."""
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    if out.shape == grid:
+        return out, out
+    if out.shape != shape:
+        raise ValueError(f"out of shape {out.shape} does not match the field's {shape}")
+    return out, np.empty(grid, dtype=out.dtype)
+
+
+def _copy_out(out: np.ndarray, target: np.ndarray) -> np.ndarray:
+    if target is not out:
+        np.copyto(out, _pixel_major(target, out.shape))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +189,7 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
     f = _mixture_matrix(np.asarray(x, dtype=np.float64),
                         np.asarray(memberships, dtype=np.float64), prior)
     fallback_rows = int(np.count_nonzero(f.max(axis=1) <= _TINY))
-    return f / _class_sum(f), fallback_rows
+    return f / f.sum(axis=1, keepdims=True), fallback_rows
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +198,8 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
 
 def _coupling_fields(responsibilities: np.ndarray, g1: float, g2: float) -> dict:
     """The terms of `update_coupling` that stay fixed while the
-    responsibilities and the penalties do, and its scratch."""
+    responsibilities and the penalties do, and its scratch, all shaped
+    like the class-major `responsibilities`."""
     if g1 <= 0 or g2 <= 0:
         raise ValueError("split penalties must be positive")
     resp = np.asarray(responsibilities, dtype=np.float64)
@@ -247,41 +245,47 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
     Uses the conjugate form of the quadratic formula when the linear part is
     not positive to avoid cancellation; an entry whose conjugate denominator
     is zero (zero responsibility and zero linear part) comes out 0. Every
-    field has the responsibilities' shape, or the call raises ValueError.
+    field has the responsibilities' shape, or the workspace's class-major
+    one, or the call raises ValueError.
 
     The result is written into `out` when given. `work` is the
     `admm_workspace` formed from this same responsibilities array and these
     penalties, or the call raises ValueError; its fixed terms and scratch
-    are used in place. Without it the call forms a small workspace of its
-    own. The work runs over the row blocks of the workspace, the first on
-    the calling thread and the rest on the thread pool.
+    are used in place, and fields of its class-major shape are used as
+    they are. Without it the call forms a small workspace of its own.
+    Fields of the responsibilities' pixel-major shape, (N,) or (N, K), are
+    transposed in, and the result back out. The work runs over the row
+    blocks of the workspace, the first on the calling thread and the rest
+    on the thread pool.
     """
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
     shape = np.shape(responsibilities)
     if work is None:
-        work = Workspace(shape, **_coupling_fields(responsibilities, g1, g2))
+        grid = _pixel_grid(shape)
+        work = Workspace(grid, **_coupling_fields(_in_grid(responsibilities, shape, grid), g1, g2))
     elif work.responsibilities is not responsibilities or work.penalties != (g1, g2):
         raise ValueError("work was formed from other responsibilities or penalties")
-    if out is None:
-        out = np.empty(shape)
     fields = [_in_grid(f, shape, work.grid)
-              for f in (memberships, simplex_field, mult_tv, mult_simplex, out)]
+              for f in (memberships, simplex_field, mult_tv, mult_simplex)]
+    out, target = _result(out, shape, work.grid, np.float64)
     parallel.map_blocks(lambda blk: _coupling_rows(
-        blk, *(f[blk.rows] for f in fields), g1, g2), work.blocks)
-    return out
+        blk, *(f[:, blk.rows] for f in fields), target[:, blk.rows], g1, g2), work.blocks)
+    return _copy_out(out, target)
 
 
 def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
                          simplex_split_penalty: float, floor: float,
                          *, out: np.ndarray | None = None,
                          work: Workspace | None = None) -> np.ndarray:
-    """Clamped row normalization: floor the scores, then divide by the row
-    sum. Both operands have one shape, or the call raises ValueError. The
-    result is written into `out` when given. The rows run in the blocks of
-    `work` (the membership ADMM's workspace) or, without it, of a small
-    workspace of the call's own: the first on the calling thread and the
-    rest on the thread pool. Each row sum adds the class columns in numpy's
-    own order.
+    """Clamped normalization over the classes: floor the scores, then divide
+    by each pixel's class sum. Both operands have one shape, or the call
+    raises ValueError: class-major (K, n, n), the membership ADMM's, whose
+    class sum adds the class images one by one, or pixel-major (N,) or
+    (N, K), transposed in and the result back out. The result is written
+    into `out` when given. The pixels run in the row blocks of `work` (the
+    membership ADMM's workspace) or, without it, of a small workspace of
+    the call's own: the first on the calling thread and the rest on the
+    thread pool.
 
     Every entry stays positive for any finite scores. Entries stay strictly
     below 1 only while a row's largest score is under about floor / eps
@@ -291,72 +295,105 @@ def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
     if floor <= 0:
         raise ValueError("floor must be positive")
     shape = np.shape(coupling)
-    if out is None:
-        # the dtype of the allocating expression, which turns integer
-        # scores into floats
-        out = np.empty(shape, dtype=np.result_type(simplex_split_penalty, coupling,
-                                                   mult_simplex, floor, 1.0))
+    # the dtype of the allocating expression, which turns integer scores
+    # into floats
+    dtype = np.result_type(simplex_split_penalty, coupling, mult_simplex, floor, 1.0)
     if work is None:
-        work = Workspace(shape)
-    coupling, mult_simplex, out_grid = (_in_grid(f, shape, work.grid)
-                                        for f in (coupling, mult_simplex, out))
+        work = Workspace(_pixel_grid(shape))
+    coupling, mult_simplex = (_in_grid(f, shape, work.grid) for f in (coupling, mult_simplex))
+    out, target = _result(out, shape, work.grid, dtype)
 
     def block(blk):
-        scores = np.multiply(simplex_split_penalty, coupling[blk.rows], out=out_grid[blk.rows])
-        scores += mult_simplex[blk.rows]
+        scores = np.multiply(simplex_split_penalty, coupling[:, blk.rows],
+                             out=target[:, blk.rows])
+        scores += mult_simplex[:, blk.rows]
         np.maximum(scores, floor, out=scores)
-        scores /= _class_sum(scores)
+        scores /= scores.sum(axis=0)
 
     parallel.map_blocks(block, work.blocks)
-    return out
+    return _copy_out(out, target)
 
 
 # ----------------------------------------------------------------------
 # Discrete gradient with replicated boundary
 # ----------------------------------------------------------------------
 
+def _flat(part: np.ndarray) -> np.ndarray:
+    """Rows of a class-major field, (K, rows, columns), as (K, rows *
+    columns): a view, as each class's rows of a row block are contiguous."""
+    return part.reshape(len(part), -1)
+
+
 def _gradient_rows(field: np.ndarray, rows: slice, gh: np.ndarray, gv: np.ndarray) -> None:
-    """Rows `rows` (nonempty) of `image_gradient(field)`, written into gh
-    and gv, which hold just those rows. Reads the row below them."""
-    start, stop, _ = rows.indices(len(field))
-    f = field[rows]
-    np.subtract(f[:, 1:, ...], f[:, :-1, ...], out=gh[:, :-1, ...])
-    gh[:, -1, ...] = 0.0
-    inner = min(stop, len(field) - 1) - start  # the rows that have a row below
-    np.subtract(field[start + 1:start + 1 + inner], f[:inner], out=gv[:inner])
-    gv[inner:] = 0.0
+    """Rows `rows` (nonempty) of the gradient of a class-major field,
+    written into gh and gv, which hold just those rows of every class.
+    Reads the row below them. Each difference is one flat shift of each
+    class's rows, by one entry or by one row; the entries a shift forms
+    across a row's end, or below the last row, are then set to zero."""
+    start, stop, _ = rows.indices(field.shape[1])
+    f = field[:, rows]
+    flat = _flat(f)
+    np.subtract(flat[:, 1:], flat[:, :-1], out=_flat(gh)[:, :-1])
+    gh[..., -1] = 0.0
+    inner = min(stop, field.shape[1] - 1) - start  # the rows that have a row below
+    np.subtract(field[:, start + 1:start + 1 + inner], f[:, :inner], out=gv[:, :inner])
+    gv[:, inner:] = 0.0
 
 
 def _gradient_adjoint_rows(gh: np.ndarray, gv: np.ndarray, rows: slice, out: np.ndarray) -> None:
-    """Rows `rows` (nonempty) of `image_gradient_adjoint(gh, gv)`, written
-    into `out`, which holds just those rows. Reads gv's row above them."""
-    start, stop, _ = rows.indices(len(gh))
-    h = gh[rows]
+    """Rows `rows` (nonempty) of the gradient adjoint of class-major (gh,
+    gv), written into `out`, which holds just those rows of every class.
+    Reads gv's row above them. gh's last column and gv's last row are
+    never read into the result, as the gradient leaves them zero."""
+    start, stop, _ = rows.indices(gh.shape[1])
+    h = gh[:, rows]
+    flat_h, flat_out = _flat(h), _flat(out)
     # 0 - gh, as an accumulation into zeros would form it (a plain negation
     # would turn +0 into -0)
-    np.subtract(0.0, h[:, :-1, ...], out=out[:, :-1, ...])
-    out[:, -1, ...] = 0.0
-    out[:, 1:, ...] += h[:, :-1, ...]
-    inner = min(stop, len(gh) - 1) - start  # the rows that have a row below
-    out[:inner] -= gv[start:start + inner]
+    np.subtract(0.0, flat_h, out=flat_out)
+    out[..., -1] = 0.0
+    flat_out[:, 1:] += flat_h[:, :-1]
+    # that shift added the end of each row to the start of the next: the
+    # first column, which has no column to its left, is formed again
+    if out.shape[-1] > 1:
+        np.subtract(0.0, h[..., 0], out=out[..., 0])
+    else:
+        out[..., 0] = 0.0
+    inner = min(stop, gh.shape[1] - 1) - start  # the rows that have a row below
+    out[:, :inner] -= gv[:, start:start + inner]
     top = 1 if start == 0 else 0  # the first image row has no row above
-    out[top:] += gv[start + top - 1:stop - 1]
+    out[:, top:] += gv[:, start + top - 1:stop - 1]
+
+
+def _class_major(field: np.ndarray) -> np.ndarray:
+    """An (n, n) or (n, n, K) field as a contiguous class-major (1, n, n) or
+    (K, n, n) array; a contiguous (n, n) field is viewed, not copied."""
+    field = np.asarray(field)
+    return np.ascontiguousarray(field[None] if field.ndim == 2 else np.moveaxis(field, -1, 0))
+
+
+def _class_last(field: np.ndarray, ndim: int) -> np.ndarray:
+    """The inverse of `_class_major` for a field of `ndim` dimensions, as a view."""
+    return field[0] if ndim == 2 else np.moveaxis(field, 0, -1)
 
 
 def image_gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences along columns and rows; the replicated boundary
     makes the last difference in each direction zero. `field` has shape
-    (n, n) or (n, n, K)."""
-    gh, gv = np.empty_like(field), np.empty_like(field)
-    _gradient_rows(field, slice(0, len(field)), gh, gv)
-    return gh, gv
+    (n, n) or (n, n, K); an (n, n, K) field is differenced class-major, on
+    a transposed copy."""
+    grid = _class_major(field)
+    gh, gv = np.empty_like(grid), np.empty_like(grid)
+    _gradient_rows(grid, slice(0, grid.shape[1]), gh, gv)
+    return _class_last(gh, np.ndim(field)), _class_last(gv, np.ndim(field))
 
 
 def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """Adjoint of `image_gradient`."""
-    out = np.empty_like(gh)
-    _gradient_adjoint_rows(gh, gv, slice(0, len(gh)), out)
-    return out
+    h, v = _class_major(gh), _class_major(gv)
+    out = np.empty_like(h)
+    _gradient_adjoint_rows(h, v, slice(0, h.shape[1]), out)
+    return _class_last(out, np.ndim(gh))
 
 
 def total_variation(field: np.ndarray) -> float:
@@ -372,8 +409,8 @@ def total_variation(field: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II matrix C and the eigenvalues of
-    I + scale * grad^T grad on an n x n grid, shaped (n, n, 1).
+    """Orthonormal DCT-II matrix C and the (n, n) eigenvalues of
+    I + scale * grad^T grad on an n x n grid.
 
     With forward differences and a replicated boundary, grad^T grad is the
     Neumann Laplacian. C diagonalises its 1-D second difference exactly,
@@ -384,20 +421,19 @@ def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     basis = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
     basis[0] /= math.sqrt(2.0)
     lam = 2.0 - 2.0 * np.cos(np.pi * k / n)
-    eig = 1.0 + scale * (lam[:, None] + lam[None, :])[:, :, None]
+    eig = 1.0 + scale * (lam[:, None] + lam[None, :])
     basis.setflags(write=False)  # shared by every caller through the cache
     eig.setflags(write=False)
     return basis, eig
 
 
-def _tv_fields(delta: np.ndarray, grid: tuple[int, ...]) -> dict:
-    """The fields of `tv_prox` on `grid`, with `delta` as the iterate: its
-    two other buffers, the shrunk gradient (dh, dv), the Bregman variable
-    (bh, bv), the pass scratch `work` and the eigenvalues `eig`."""
-    _, eig = _neumann_basis(grid[0], BREGMAN_PENALTY_SCALE)
-    return {"delta": delta, "delta_prev": np.empty_like(delta), "spare": np.empty_like(delta),
-            **{name: np.empty(grid) for name in ("dh", "dv", "bh", "bv", "work")},
-            "eig": np.broadcast_to(eig, grid)}
+def _tv_fields(delta: np.ndarray) -> dict:
+    """The fields of `tv_prox` on the class-major grid of `delta`, with
+    `delta` as the iterate: its two other buffers, the shrunk gradient (dh,
+    dv), the Bregman variable (bh, bv) and the pass scratch `work`."""
+    return {"delta": delta,
+            **{name: np.empty(delta.shape)
+               for name in ("delta_prev", "spare", "dh", "dv", "bh", "bv", "work")}}
 
 
 def _shrink_step(st: SimpleNamespace, thresh: float) -> None:
@@ -422,26 +458,23 @@ def _shrink_step(st: SimpleNamespace, thresh: float) -> None:
     st.bv -= st.dv
 
 
-def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace,
-                  basis: np.ndarray, scale: float, thresh: float) -> float:
+def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace, basis: np.ndarray,
+                  eig: np.ndarray, scale: float, thresh: float) -> float:
     """One split-Bregman pass from the iterate `src`, writing the new
     iterate into ws.delta and updating (dh, dv, bh, bv) in place; `src`,
-    on the grid like `v`, is left as it was. Returns the relative change of
-    the iterate.
+    class-major like `v`, is left as it was. Returns the relative change
+    of the iterate.
 
-    The pass runs as stages over the row blocks of the grid, each stage
-    finishing on every block before the next starts, because the gradient
-    pair and the DCT's axis-0 products read rows of other blocks. The
-    axis-1 products are batched over rows, one identical GEMM per row, so
-    they split by rows exactly. The two axis-0 products run whole on the
-    calling thread: which micro-kernel OpenBLAS gives a column of a GEMM
-    depends on the call's column count, so a split by columns changes the
-    last digits of some columns. The norms of the relative change are
-    taken whole too.
+    The pass runs as stages, each finishing on every block before the next
+    starts, because the gradient pair reads rows of other blocks. The
+    stencils and the shrink run over the row blocks of the grid. The DCT
+    solve runs over blocks of classes: each class image is transformed by
+    whole n x n GEMMs, the same ones whatever the block count, which a
+    split by rows would not be (which micro-kernel OpenBLAS gives a part
+    of a GEMM depends on its shape, so a row split changes the last
+    digits of some rows at some n). The norms of the relative change are
+    taken whole.
     """
-    n = len(v)
-    out, work = ws.delta.reshape(ws.grid), ws.work
-
     def subtract(blk):  # d - b, in d's buffers
         blk.dh -= blk.bh
         blk.dv -= blk.bv
@@ -450,32 +483,28 @@ def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace,
         o = blk.delta
         _gradient_adjoint_rows(ws.dh, ws.dv, blk.rows, o)
         o *= scale
-        np.add(v[blk.rows], o, out=o)
+        np.add(v[:, blk.rows], o, out=o)
 
-    def solve(blk):  # the forward transform's axis-1 product, then the inverse
-        o = blk.delta
-        np.matmul(basis, blk.work, out=o)
-        o /= blk.eig
-
-    def synthesize(blk):  # the inverse transform's axis-1 product; the change
-        o = blk.delta
-        np.matmul(basis.T, blk.work, out=o)
-        np.subtract(o, src[blk.rows], out=blk.work)
+    def solve(classes):  # C^T ((C rhs C^T) / eig) C, class by class; the change
+        o, w = ws.delta[classes], ws.work[classes]
+        np.matmul(o, basis.T, out=w)
+        np.matmul(basis, w, out=o)
+        o /= eig
+        np.matmul(basis.T, o, out=w)
+        np.matmul(w, basis, out=o)
+        np.subtract(o, src[classes], out=w)
 
     def shrink(blk):  # b += grad out, shrunk into d
-        _gradient_rows(out, blk.rows, blk.dh, blk.dv)
+        _gradient_rows(ws.delta, blk.rows, blk.dh, blk.dv)
         blk.bh += blk.dh
         blk.bv += blk.dv
         _shrink_step(blk, thresh)
 
     parallel.map_blocks(subtract, ws.blocks)
     parallel.map_blocks(rhs, ws.blocks)
-    np.matmul(basis, out.reshape(n, -1), out=work.reshape(n, -1))
-    parallel.map_blocks(solve, ws.blocks)
-    np.matmul(basis.T, out.reshape(n, -1), out=work.reshape(n, -1))
-    parallel.map_blocks(synthesize, ws.blocks)
+    parallel.map_blocks(solve, ws.classes)
     denom = np.linalg.norm(src)
-    rel = np.linalg.norm(work) / denom if denom > 0.0 else np.inf
+    rel = np.linalg.norm(ws.work) / denom if denom > 0.0 else np.inf
     parallel.map_blocks(shrink, ws.blocks)
     return rel
 
@@ -490,24 +519,27 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     each pass solves it exactly in the 2-D DCT-II basis, which diagonalises
     the Neumann Laplacian of the replicated boundary. The basis is a cached
     dense matrix applied by matmuls (about 8 n^3 K flops per pass). Accepts
-    a flat (N,) image or an (N, K) stack sharing one Frobenius stopping
-    rule; the passes stop when the relative change of u drops below
-    bregman_tol or after bregman_max passes. Each pass runs as stages over
-    row blocks of the grid, split over the thread pool once the stack has
-    at least 2 * MIN_BLOCK_ENTRIES entries and the BLAS can be pinned; the
-    result is bit-identical whatever the block count.
+    a flat (N,) image or an (N, K) stack, which are transposed into a
+    class-major copy, or a class-major (K, n, n) stack, the membership
+    ADMM's; all classes share one Frobenius stopping rule. The passes stop
+    when the relative change of u drops below bregman_tol or after
+    bregman_max passes. Each pass runs as stages over row blocks of the
+    grid and blocks of classes, split over the thread pool once the stack
+    has at least 2 * MIN_BLOCK_ENTRIES entries and the BLAS can be pinned;
+    the result is bit-identical whatever the block count.
 
-    `state` is a `Workspace` with the fields of `_tv_fields`: the
-    membership ADMM's, or the one a previous call returned in its info
+    `state` is a `Workspace` with the fields of `_tv_fields`, class-major:
+    the membership ADMM's, or the one a previous call returned in its info
     dict; a call without one makes a small one. The first call on a
     workspace starts cold, seeding (d, b) from the input's gradient. Later
     calls warm start from its iterate `delta` and (d, b); callers that
     solve a sequence of nearby targets (the membership ADMM) converge in a
     couple of passes that way. A call updates the workspace in place and
-    allocates no field. The returned field is a view of `delta`, which the
-    next call overwrites; the iterate the call started from is kept
-    unchanged in `delta_prev`, so a caller may still compare the two. A
-    constant input is its own prox: it becomes `delta`, with (d, b) zero.
+    allocates no field. The returned field is `delta`, viewed in the
+    input's shape, which the next call overwrites; the iterate the call
+    started from is kept unchanged in `delta_prev`, so a caller may still
+    compare the two. A constant input is its own prox: it becomes `delta`,
+    with (d, b) zero.
     """
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
@@ -518,13 +550,14 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("input must be finite")
     n = int(grid_side)
-    v = v_in.reshape(n, n, -1)
+    grid = (v_in.shape[0] if v_in.ndim == 3 else v_in.size // (n * n), n, n)
+    v = _in_grid(v_in, v_in.shape, grid)
     if state is None:
-        state = Workspace(v.shape, **_tv_fields(np.empty(v_in.shape), v.shape))
+        state = Workspace(grid, **_tv_fields(np.empty(grid)))
     state.swap("delta", "delta_prev")
-    src, passes = state.delta_prev.reshape(v.shape), cfg.bregman_max
+    src, passes = state.delta_prev, cfg.bregman_max
     if lo == hi:  # constant input: TV is zero, v is the exact prox
-        np.copyto(state.delta.reshape(v.shape), v)
+        np.copyto(state.delta, v)
         for part in (state.dh, state.dv, state.bh, state.bv):
             part.fill(0.0)
         passes = 0
@@ -539,34 +572,57 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         src = v
     state.warm = True
 
-    basis, _ = _neumann_basis(n, scale)
+    basis, eig = _neumann_basis(n, scale)
     iterations = 0
     for iterations in range(1, passes + 1):
         if iterations > 1:  # the last pass's iterate is the next one's source
             state.swap("delta", "spare")
-            src = state.spare.reshape(v.shape)
-        rel = _bregman_pass(v, src, state, basis, scale, thresh)
+            src = state.spare
+        rel = _bregman_pass(v, src, state, basis, eig, scale, thresh)
         if rel < cfg.bregman_tol:
             break
-    return state.delta.reshape(v_in.shape), {"iterations": iterations, "state": state}
+    out = state.delta if v_in.shape == grid else _pixel_major(state.delta, v_in.shape)
+    return out, {"iterations": iterations, "state": state}
 
 
 def admm_workspace(responsibilities: np.ndarray, memberships: np.ndarray, grid_side: int,
                    tv_split_penalty: float, simplex_split_penalty: float) -> Workspace:
     """The workspace of one membership ADMM on (N, K) fields of an n x n
-    grid: the fields of `tv_prox` and of `update_coupling`, formed from
-    these responsibilities and penalties, and the ADMM's own: the coupling
-    `eta`, the simplex block `psi`, the multipliers `lam_tv` and
-    `lam_simplex`, and the TV target `target`. The TV iterate `delta`,
-    `eta` and `psi` start at `memberships`, the multipliers at zero."""
+    grid, with every field class-major, (K, n, n): the fields of `tv_prox`
+    and of `update_coupling`, formed from these responsibilities and
+    penalties, and the ADMM's own: the coupling `eta`, the simplex block
+    `psi`, the multipliers `lam_tv` and `lam_simplex`, and the TV target
+    `target`. The TV iterate `delta`, `eta`, `psi` and the first target,
+    eta - lam_tv / g1, start at `memberships`, transposed in once; the
+    multipliers start at zero."""
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
-    delta = np.array(memberships, dtype=np.float64)
-    grid = (grid_side, grid_side, delta.shape[-1])
-    ws = Workspace(grid, **_tv_fields(delta, grid), **_coupling_fields(responsibilities, g1, g2),
+    memberships = np.asarray(memberships, dtype=np.float64)
+    grid = (memberships.shape[-1], grid_side, grid_side)
+    delta = _in_grid(memberships, memberships.shape, grid)
+    resp = _in_grid(responsibilities, np.shape(responsibilities), grid)
+    ws = Workspace(grid, **_tv_fields(delta), **_coupling_fields(resp, g1, g2),
                    eta=delta.copy(), psi=delta.copy(), lam_tv=np.zeros_like(delta),
-                   lam_simplex=np.zeros_like(delta), target=np.empty_like(delta))
+                   lam_simplex=np.zeros_like(delta), target=delta.copy())
     ws.responsibilities, ws.penalties = responsibilities, (g1, g2)
     return ws
+
+
+def update_multipliers(ws: Workspace, g1: float, g2: float) -> None:
+    """The membership ADMM's multiplier steps, lam_tv += g1 (delta - eta)
+    and lam_simplex += g2 (eta - psi), then its next TV target,
+    eta - lam_tv / g1, in place over the row blocks of `ws`."""
+    def block(blk):
+        t = blk.target
+        np.subtract(blk.delta, blk.eta, out=t)
+        t *= g1
+        blk.lam_tv += t
+        np.subtract(blk.eta, blk.psi, out=t)
+        t *= g2
+        blk.lam_simplex += t
+        np.divide(blk.lam_tv, g1, out=t)
+        np.subtract(blk.eta, t, out=t)
+
+    parallel.map_blocks(block, ws.blocks)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .kernels import (
     total_variation,
     tv_prox,
     update_coupling,
+    update_multipliers,
     update_responsibilities,
 )
 from .metrics import labels_from
@@ -126,9 +127,9 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     feasible by construction. Raises DivergenceError, naming the iteration,
     once an iterate is no longer finite.
 
-    Every field lives in one `admm_workspace`, allocated once per call
-    and updated in place by every iteration; the returned field is a view
-    of its `psi`.
+    Every field lives in one `admm_workspace`, class-major and allocated
+    once per call, and is updated in place by every iteration; the
+    returned field is its `psi`, transposed back to (N, K).
     """
     phi = np.asarray(responsibilities, dtype=np.float64)
     if phi.ndim != 2 or np.any(phi < 0.0):
@@ -143,8 +144,6 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         ws = admm_workspace(phi, memberships_init, grid_side, g1, g2)
         for iterations in range(1, cfg.admm_max + 1):
-            np.divide(ws.lam_tv, g1, out=ws.target)
-            np.subtract(ws.eta, ws.target, out=ws.target)
             if not math.isfinite(ws.target.sum()):
                 raise DivergenceError(f"membership ADMM produced non-finite values "
                                       f"at iteration {iterations}")
@@ -163,12 +162,7 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
             update_coupling(ws.delta, ws.psi, ws.lam_tv, ws.lam_simplex, phi, g1, g2,
                             out=ws.eta, work=ws)
             normalize_to_simplex(ws.eta, ws.lam_simplex, g2, SIMPLEX_FLOOR, out=ws.psi, work=ws)
-            np.subtract(ws.delta, ws.eta, out=ws.target)
-            ws.target *= g1
-            ws.lam_tv += ws.target
-            np.subtract(ws.eta, ws.psi, out=ws.target)
-            ws.target *= g2
-            ws.lam_simplex += ws.target
+            update_multipliers(ws, g1, g2)  # and the next TV target
 
             # the TV block is computed from the previous duals, so its change
             # is only meaningful once those have moved at least once
@@ -178,8 +172,9 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     if not np.all(np.isfinite(ws.psi)):
         raise DivergenceError(f"membership ADMM produced non-finite values "
                               f"at iteration {iterations}")
-    return ws.psi, {"iterations": iterations, "rel_change": float(rel),
-                    "bregman_iterations": bregman_total}
+    psi = ws.psi.reshape(len(ws.psi), -1).T.copy()
+    return psi, {"iterations": iterations, "rel_change": float(rel),
+                 "bregman_iterations": bregman_total}
 
 
 @parallel.one_blas_thread()

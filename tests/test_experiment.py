@@ -335,8 +335,16 @@ class TestCli:
         (["run"], "angles = 0:6:180"),
         (["run"], "prior_sigma = 0"),
         (["run"], "angles = 0:1:inf"),
+        (["run", "--n", "16"], "tv_weight = nan"),
+        (["run", "--n", "16"], "outer_tol = nan"),
+        (["run", "--n", "16"], "data_weight = inf"),
+        (["run", "--n", "16"], "noise_level = nan"),
+        (["run", "--n", "16"], "prior_sigma = nan"),
+        (["run", "--n", "16"], "pgm_binary = ture"),
     ], ids=["n8", "n1", "negative-noise", "sweep-side-100", "zero-detector-pixels",
-            "zero-angle", "zero-prior-sigma", "infinite-angle-stop"])
+            "zero-angle", "zero-prior-sigma", "infinite-angle-stop", "nan-tv-weight",
+            "nan-outer-tol", "infinite-data-weight", "nan-noise", "nan-prior-sigma",
+            "misspelled-bool"])
     def test_bad_scan_settings_exit_one_before_any_trial(self, tmp_path, args, cfg_line):
         out = tmp_path / "out"
         argv = args + ["--trials", "1", "--out", str(out)]

@@ -37,7 +37,6 @@ from srsct import geometry, kernels, parallel
 from srsct.kernels import (
     BREGMAN_PENALTY_SCALE,
     Workspace,
-    _class_sum,
     _neumann_basis,
     admm_workspace,
 )
@@ -367,6 +366,86 @@ class TestImageGradient:
         assert total_variation(np.full((4, 4), 2.5)) == 0.0
 
 
+def strided_gradient(field, start, stop):
+    """Rows start:stop of the gradient of a class-major (K, n, n) field, by
+    strided column and row slices of each class image: the reference that
+    the flat shifts must match bit for bit."""
+    f = field[:, start:stop]
+    gh, gv = np.empty_like(f), np.empty_like(f)
+    np.subtract(f[:, :, 1:], f[:, :, :-1], out=gh[:, :, :-1])
+    gh[:, :, -1] = 0.0
+    inner = min(stop, field.shape[1] - 1) - start
+    np.subtract(field[:, start + 1:start + 1 + inner], f[:, :inner], out=gv[:, :inner])
+    gv[:, inner:] = 0.0
+    return gh, gv
+
+
+def strided_gradient_adjoint(gh, gv, start, stop):
+    """Rows start:stop of the gradient adjoint of class-major (gh, gv), by
+    strided slices; it never reads gh's last column or gv's last row."""
+    h = gh[:, start:stop]
+    out = np.empty_like(h)
+    np.subtract(0.0, h[:, :, :-1], out=out[:, :, :-1])
+    out[:, :, -1] = 0.0
+    out[:, :, 1:] += h[:, :, :-1]
+    inner = min(stop, gh.shape[1] - 1) - start
+    out[:, :inner] -= gv[:, start:start + inner]
+    top = 1 if start == 0 else 0
+    out[:, top:] += gv[:, start + top - 1:stop - 1]
+    return out
+
+
+class TestFlatStencils:
+    """The gradient and its adjoint as flat shifts of each class image equal
+    the strided formulas bit for bit, with the wrapped entries handled."""
+
+    @staticmethod
+    def draw(seed, n, k):
+        # k = 0 stands for a flat (n, n) field. Signed zeros and repeated
+        # values make differences of exactly +0 and -0; the last column of
+        # gh and the last row of gv hold garbage the adjoint must not read
+        rng = np.random.default_rng(seed)
+        shape = (max(k, 1), n, n)
+        field, gh, gv = (rng.choice([-0.0, 0.0, 1.0, rng.standard_normal()], size=shape)
+                         + (rng.random(shape) < 0.5) * rng.standard_normal(shape)
+                         for _ in range(3))
+        gh[..., -1] = rng.uniform(1.0, 1e3, size=shape[:2])
+        gv[:, -1] = rng.uniform(1.0, 1e3, size=(shape[0], n))
+        return field, gh, gv
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_whole_fields(self, seed, n, k):
+        field, gh, gv = self.draw(seed, n, k)
+        ref_h, ref_v = strided_gradient(field, 0, n)
+        ref_adj = strided_gradient_adjoint(gh, gv, 0, n)
+        if k == 0:  # the public (n, n) functions
+            out_h, out_v = image_gradient(field[0])
+            out_adj = image_gradient_adjoint(gh[0], gv[0])
+            ref_h, ref_v, ref_adj = ref_h[0], ref_v[0], ref_adj[0]
+        else:
+            out_h, out_v, out_adj = (np.full_like(field, np.nan) for _ in range(3))
+            kernels._gradient_rows(field, slice(0, n), out_h, out_v)
+            kernels._gradient_adjoint_rows(gh, gv, slice(0, n), out_adj)
+        for out, ref in ((out_h, ref_h), (out_v, ref_v), (out_adj, ref_adj)):
+            assert out.tobytes() == ref.tobytes()
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_blocks(self, seed, n, k, data):
+        field, gh, gv = self.draw(seed, n, k)
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        # the block's rows of fields laid out as a workspace holds them
+        out_h, out_v, out_adj = (np.full_like(field, np.nan)[:, start:stop] for _ in range(3))
+        kernels._gradient_rows(field, slice(start, stop), out_h, out_v)
+        kernels._gradient_adjoint_rows(gh, gv, slice(start, stop), out_adj)
+        ref_h, ref_v = strided_gradient(field, start, stop)
+        for out, ref in ((out_h, ref_h), (out_v, ref_v),
+                         (out_adj, strided_gradient_adjoint(gh, gv, start, stop))):
+            assert out.tobytes() == ref.tobytes()
+
+
 class TestTvProx:
     def test_constant_input_exact_fixed_point(self):
         cfg = SolverConfig()
@@ -428,7 +507,9 @@ class TestTvProx:
         v = rng.standard_normal((n * n,) if k == 1 else (n * n, k))
         out, info = tv_prox(v, weight, n, SolverConfig(bregman_tol=1e-9, bregman_max=5000))
         state = info["state"]
-        ph, pv = (b / (weight / BREGMAN_PENALTY_SCALE) for b in (state.bh, state.bv))
+        # the state is class-major, (K, n, n); the public adjoint takes (n, n, K)
+        ph, pv = (np.moveaxis(b, 0, -1) / (weight / BREGMAN_PENALTY_SCALE)
+                  for b in (state.bh, state.bv))
         norm = np.maximum(np.sqrt(ph * ph + pv * pv), 1.0)
         ph, pv = ph / norm, pv / norm
         grid = v.reshape(n, n, -1)
@@ -453,17 +534,21 @@ class TestTvProx:
 
 
 def allocating_tv_prox(v_flat, weight, n, cfg, state=None):
-    """The split-Bregman prox as a plain allocating loop over the public
-    gradient pair, with the state as a tuple (u, dh, dv, bh, bv) of fresh
-    arrays. Kept as the reference that the in-place passes must match bit
-    for bit."""
+    """The split-Bregman prox as a plain allocating loop on a class-major
+    (K, n, n) copy of the input, over the public gradient pair of each
+    class image, with the state as a tuple (u, dh, dv, bh, bv) of fresh
+    class-major arrays. Kept as the reference that the in-place passes
+    must match bit for bit."""
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
     basis, eig = _neumann_basis(n, scale)
-    v = v_flat.reshape(n, n, -1)
+    v = np.ascontiguousarray(v_flat.reshape(n * n, -1).T).reshape(-1, n, n)
 
-    def along_grid(mat, u):
-        return mat @ (mat @ u.reshape(n, -1)).reshape(u.shape)
+    def gradient(u):
+        return tuple(np.stack(parts) for parts in zip(*map(image_gradient, u)))
+
+    def gradient_adjoint(h, g):
+        return np.stack([image_gradient_adjoint(a, b) for a, b in zip(h, g)])
 
     def shrink(ah, av):
         mag = np.sqrt(ah * ah + av * av)
@@ -472,27 +557,28 @@ def allocating_tv_prox(v_flat, weight, n, cfg, state=None):
 
     if state is None:
         u = v.copy()
-        gh, gv = image_gradient(u)
+        gh, gv = gradient(u)
         dh, dv = shrink(gh, gv)
         bh, bv = gh - dh, gv - dv
     else:
         u, dh, dv, bh, bv = (part.copy() for part in state)
     for iterations in range(1, cfg.bregman_max + 1):
         u_prev = u
-        rhs = v + scale * image_gradient_adjoint(dh - bh, dv - bv)
-        u = along_grid(basis.T, along_grid(basis, rhs) / eig)
-        gh, gv = image_gradient(u)
+        rhs = v + scale * gradient_adjoint(dh - bh, dv - bv)
+        # C^T ((C rhs C^T) / eig) C, one whole GEMM per class and product
+        u = (basis.T @ ((basis @ (rhs @ basis.T)) / eig)) @ basis
+        gh, gv = gradient(u)
         dh, dv = shrink(gh + bh, gv + bv)
         bh = bh + gh - dh
         bv = bv + gv - dv
         denom = np.linalg.norm(u_prev)
         if denom > 0.0 and np.linalg.norm(u - u_prev) / denom < cfg.bregman_tol:
             break
-    return u.reshape(v_flat.shape), iterations, (u, dh, dv, bh, bv)
+    return u.reshape(len(u), -1).T.reshape(v_flat.shape), iterations, (u, dh, dv, bh, bv)
 
 
 def state_arrays(state):
-    return (state.delta.reshape(state.grid), state.dh, state.dv, state.bh, state.bv)
+    return (state.delta, state.dh, state.dv, state.bh, state.bv)
 
 
 def state_buffers(state):
@@ -538,7 +624,7 @@ class TestTvProxInPlace:
             assert not np.array_equal(old, new)
         # three passes, and the iterate they started from is still intact
         assert start is not state.delta and start is state.delta_prev
-        assert np.array_equal(start.reshape(state.grid), before[0])
+        assert np.array_equal(start, before[0])
 
     def test_cold_call_returns_fresh_state_and_constant_call_resets_it(self):
         rng = np.random.default_rng(14)
@@ -559,7 +645,7 @@ class TestTvProxInPlace:
         assert {id(buf) for buf in state_buffers(given)} == buffers
         assert np.shares_memory(out, given.delta) and not np.shares_memory(out, flat)
         assert not any(part.any() for part in state_arrays(given)[1:])
-        assert np.array_equal(given.delta_prev.reshape(given.grid), before)
+        assert np.array_equal(given.delta_prev, before)
 
 
 class TestTvProxInnerSolve:
@@ -660,6 +746,28 @@ class TestSplitKernels:
         assert_bit_identical(whole, split)
 
 
+@pytest.mark.parametrize("n,k", [(128, 3), (256, 3), (96, 8)])
+def test_block_rule_splits_are_exact(monkeypatch, n, k):
+    # the fields that the block rule cuts in two on two cores, at the
+    # measured floor: two row blocks and two class blocks, and the same
+    # bits as one block. A split of the DCT's products by rows would not
+    # give them at every n (measured at n = 73..76, 81..84 and 193..199,
+    # among others); one whole GEMM per class image does
+    rng = np.random.default_rng(n + k)
+    v = rng.standard_normal((n * n, k))
+    cfg = SolverConfig(bregman_max=3, bregman_tol=1e-12)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(parallel, "product_threads", lambda: threads)
+        out, info = tv_prox(v, 0.7, n, cfg)
+        out, info = tv_prox(v + 0.05, 0.7, n, cfg, state=info["state"])
+        state = info["state"]
+        runs.append(((out.copy(), *state_arrays(state)), (len(state.blocks), len(state.classes))))
+    (whole, one), (split, cut) = runs
+    assert (one, cut) == ((1, 1), (2, 2))
+    assert_bit_identical(whole, split)
+
+
 def test_concurrent_split_calls(admm_blocks):
     # more calling threads than cores, each running split kernels on its own
     # state over the shared pool, with the interpreter switching threads
@@ -711,10 +819,18 @@ def test_admm_kernels_stay_one_block_without_blas_control(monkeypatch):
 class TestClassSum:
     @pytest.mark.parametrize("k", [*range(1, 21), 136, 300])
     def test_is_numpys_row_sum(self, k):
-        # a numpy that sums rows in another order fails here, loudly
+        # the simplex step divides by numpy's own sum over the class axis of
+        # the class-major scores, which adds the class images one by one,
+        # for pixel-major operands as for class-major ones
         rng = np.random.default_rng(k)
-        field = rng.random((257, k)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(257, k))
-        assert np.array_equal(_class_sum(field), field.sum(axis=-1, keepdims=True))
+        scores = rng.random((257, k)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(257, k))
+        class_major = np.ascontiguousarray(np.maximum(scores, 1e-4).T)
+        expected = class_major / class_major.sum(axis=0)
+        out = normalize_to_simplex(scores, np.zeros_like(scores), 1.0, 1e-4)
+        assert np.array_equal(out, expected.T)
+        grid = np.ascontiguousarray(scores.T).reshape(k, 257, 1)
+        out = normalize_to_simplex(grid, np.zeros_like(grid), 1.0, 1e-4)
+        assert np.array_equal(out, expected.reshape(grid.shape))
 
 
 class TestSolveReconstruction:
