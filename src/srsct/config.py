@@ -116,8 +116,14 @@ class ExperimentConfig:
         parse_angles(self.angles)  # rejects a malformed or empty spec
 
 
+# Most angles a scan may have: one per 0.05 degrees over 180, 15 times the
+# 240 of the 512 sweep scan. Checked before a spec is expanded.
+MAX_ANGLES = 3600
+
+
 def parse_angles(spec: str) -> list[float]:
-    """Expand a `start:step:stop` degree spec into an inclusive angle list."""
+    """Expand a `start:step:stop` degree spec into an inclusive angle list
+    of at most MAX_ANGLES angles; the count is checked before expanding."""
     parts = str(spec).split(":")
     if len(parts) != 3:
         raise ValueError(f"angle spec {spec!r} must be start:step:stop")
@@ -126,10 +132,12 @@ def parse_angles(spec: str) -> list[float]:
         raise ValueError(f"angle spec {spec!r} must be finite")
     if step <= 0:
         raise ValueError("angle step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1  # a float, inf for a tiny step
     if count < 1:
         raise ValueError(f"angle spec {spec!r} yields no angles")
-    return [start + step * k for k in range(count)]
+    if count > MAX_ANGLES:
+        raise ValueError(f"angle spec {spec!r} yields more than {MAX_ANGLES} angles")
+    return [start + step * k for k in range(int(count))]
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,

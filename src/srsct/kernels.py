@@ -12,11 +12,15 @@ K class images, in one `Workspace` per call (`admm_workspace`), allocated
 once. In that layout each class image is contiguous: the gradient and its
 adjoint are flat shifts, the 2-D DCT is one GEMM per class and axis, and a
 class sum adds whole images. The kernels (`tv_prox`, `update_coupling`,
-`normalize_to_simplex`) update the workspace in place. Called on (N,) or
-(N, K) fields instead, a kernel transposes them into a small class-major
-workspace of its own and its result back out. The TV iterate rotates
-among three buffers; the one a `tv_prox` call started from stays intact
-in `delta_prev`. The kernels run their work as stages on
+`normalize_to_simplex`) have two modes. Given the ADMM's workspace, they
+take its class-major arrays as they are and write their output field
+(`delta`, `eta` or `psi`) in place. Without it, they take pixel-major (N,)
+or (N, K) fields: one pair of adapters, `_class_major` and `_pixel_major`,
+transposes them into a small workspace of the call's own and views the
+float64 result back in their shape. `image_gradient`, its adjoint and
+`admm_workspace` use the same pair. The TV iterate rotates among three
+buffers; the one a `tv_prox` call started from stays intact in
+`delta_prev`. The kernels run their work as stages on
 `parallel.map_blocks`: the stencils and the elementwise updates over row
 blocks of the grid, the DCT over blocks of classes. Every entry is
 computed by the same operations in the same order whatever the block
@@ -80,7 +84,9 @@ class Workspace:
     each field's name, those rows of every class of that field, made here
     once. `classes` cuts the class axis into at most as many blocks, for
     the DCT. `swap` exchanges two fields' buffers on the workspace and
-    every block alike. `warm` tells whether `tv_prox` has run on it.
+    every block alike. `warm` tells whether `tv_prox` has run on it. A
+    kernel given a workspace takes its class-major arrays as they are and
+    writes its output field in place.
     """
 
     def __init__(self, grid: tuple[int, int, int], **fields: np.ndarray):
@@ -96,49 +102,24 @@ class Workspace:
             part.__dict__[a], part.__dict__[b] = part.__dict__[b], part.__dict__[a]
 
 
-def _pixel_grid(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The class-major grid of a kernel's fields of this shape, when no
-    grid side comes with them: (K, N, 1) for pixel-major (N,) or (N, K)
-    fields, and a class-major shape itself."""
-    return shape if len(shape) == 3 else (math.prod(shape[1:]), shape[0], 1)
-
-
-def _in_grid(operand, shape: tuple[int, ...], grid: tuple[int, ...]) -> np.ndarray:
-    """An operand of a kernel as a class-major array of `grid`: an operand
-    of that shape as it is, and one of the field's pixel-major `shape`,
-    (N,) or (N, K), transposed into a new array. Raises ValueError for any
-    other shape."""
-    operand = np.asarray(operand)
-    if operand.shape == grid:
-        return operand
-    if operand.shape != shape:
+def _class_major(operand, shape=None, side: int | None = None) -> np.ndarray:
+    """An operand of pixel-major `shape` (by default its own), (N,) or
+    (N, K), as a float64 class-major array: (K, side, side) for a grid side,
+    which needs N = side², else (K, N, 1). A contiguous operand of one class
+    is viewed, any other transposed into a new array; raises ValueError."""
+    operand = np.asarray(operand, dtype=np.float64)
+    if shape is not None and operand.shape != shape:
         raise ValueError(f"operand of shape {operand.shape} does not match the field's {shape}")
-    return np.array(operand.reshape(len(operand), -1).T, order="C").reshape(grid)
+    if operand.ndim not in (1, 2) or side is not None and len(operand) != side * side:
+        raise ValueError(f"a field of shape {operand.shape} is not pixel-major, (N,) or (N, K)"
+                         + ("" if side is None else f" with N = {side} * {side}"))
+    rows, cols = (len(operand), 1) if side is None else (side, side)
+    return np.ascontiguousarray(operand.reshape(len(operand), -1).T).reshape(-1, rows, cols)
 
 
 def _pixel_major(field: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A class-major field viewed in the pixel-major `shape`, (N,) or (N, K)."""
+    """A class-major field viewed in the pixel-major `shape`: `_class_major`'s inverse."""
     return field.reshape(len(field), -1).T.reshape(shape)
-
-
-def _result(out, shape: tuple[int, ...], grid: tuple[int, ...], dtype) -> tuple:
-    """(result, target) of a kernel: the array it returns, `out` or a new
-    one of `shape`, and the class-major array of `grid` that it writes,
-    which is the result itself when that is class-major. Otherwise
-    `_copy_out` transposes the target into the result."""
-    if out is None:
-        out = np.empty(shape, dtype=dtype)
-    if out.shape == grid:
-        return out, out
-    if out.shape != shape:
-        raise ValueError(f"out of shape {out.shape} does not match the field's {shape}")
-    return out, np.empty(grid, dtype=out.dtype)
-
-
-def _copy_out(out: np.ndarray, target: np.ndarray) -> np.ndarray:
-    if target is not out:
-        np.copyto(out, _pixel_major(target, out.shape))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -196,13 +177,12 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
 # Closed-form ADMM field updates
 # ----------------------------------------------------------------------
 
-def _coupling_fields(responsibilities: np.ndarray, g1: float, g2: float) -> dict:
+def _coupling_fields(resp: np.ndarray, g1: float, g2: float) -> dict:
     """The terms of `update_coupling` that stay fixed while the
     responsibilities and the penalties do, and its scratch, all shaped
-    like the class-major `responsibilities`."""
+    like the class-major responsibilities `resp`."""
     if g1 <= 0 or g2 <= 0:
         raise ValueError("split penalties must be positive")
-    resp = np.asarray(responsibilities, dtype=np.float64)
     return {"four_phi_g": 4.0 * resp * (g1 + g2), "two_phi": 2.0 * resp,
             "lin": np.empty_like(resp), "disc": np.empty_like(resp),
             "conj_mask": np.empty(resp.shape, dtype=bool),
@@ -210,9 +190,9 @@ def _coupling_fields(responsibilities: np.ndarray, g1: float, g2: float) -> dict
 
 
 def _coupling_rows(blk: SimpleNamespace, memberships, simplex_field, mult_tv, mult_simplex,
-                   out: np.ndarray, g1: float, g2: float) -> None:
-    """`update_coupling` on one row block; the fields are its rows."""
-    c, disc = blk.lin, blk.disc
+                   g1: float, g2: float) -> None:
+    """`update_coupling` on one row block, into its `eta`; the fields are its rows."""
+    c, disc, out = blk.lin, blk.disc, blk.eta
     np.multiply(g1, memberships, out=c)
     c += mult_tv
     np.multiply(g2, simplex_field, out=disc)
@@ -236,56 +216,50 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
                     mult_tv: np.ndarray, mult_simplex: np.ndarray,
                     responsibilities: np.ndarray,
                     tv_split_penalty: float, simplex_split_penalty: float,
-                    *, out: np.ndarray | None = None,
-                    work: Workspace | None = None) -> np.ndarray:
+                    *, work: Workspace | None = None) -> np.ndarray:
     """Positive root of the per-entry stationarity condition of the coupling
     field: the unique eta > 0 with
     -resp/eta + g1*(eta - memb) - mult_tv + g2*(eta - simp) + mult_simplex = 0.
 
     Uses the conjugate form of the quadratic formula when the linear part is
     not positive to avoid cancellation; an entry whose conjugate denominator
-    is zero (zero responsibility and zero linear part) comes out 0. Every
-    field has the responsibilities' shape, or the workspace's class-major
-    one, or the call raises ValueError.
+    is zero (zero responsibility and zero linear part) comes out 0.
 
-    The result is written into `out` when given. `work` is the
-    `admm_workspace` formed from this same responsibilities array and these
-    penalties, or the call raises ValueError; its fixed terms and scratch
-    are used in place, and fields of its class-major shape are used as
-    they are. Without it the call forms a small workspace of its own.
-    Fields of the responsibilities' pixel-major shape, (N,) or (N, K), are
-    transposed in, and the result back out. The work runs over the row
-    blocks of the workspace, the first on the calling thread and the rest
-    on the thread pool.
+    With `work`, the membership ADMM's workspace formed from these
+    responsibilities and penalties, the fields are its class-major arrays,
+    taken as they are, and the result is written into its `eta`. Without
+    it every field has the responsibilities' pixel-major shape, (N,) or
+    (N, K), or the call raises ValueError; the fields are transposed into a
+    small workspace of the call's own, and the float64 result viewed back.
+    The work runs over the row blocks of the workspace, the first on the
+    calling thread and the rest on the thread pool.
     """
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
-    shape = np.shape(responsibilities)
+    fields = (memberships, simplex_field, mult_tv, mult_simplex)
     if work is None:
-        grid = _pixel_grid(shape)
-        work = Workspace(grid, **_coupling_fields(_in_grid(responsibilities, shape, grid), g1, g2))
-    elif work.responsibilities is not responsibilities or work.penalties != (g1, g2):
-        raise ValueError("work was formed from other responsibilities or penalties")
-    fields = [_in_grid(f, shape, work.grid)
-              for f in (memberships, simplex_field, mult_tv, mult_simplex)]
-    out, target = _result(out, shape, work.grid, np.float64)
+        shape = np.shape(responsibilities)
+        resp = _class_major(responsibilities, shape)
+        work = Workspace(resp.shape, **_coupling_fields(resp, g1, g2), eta=np.empty(resp.shape))
+        eta = update_coupling(*(_class_major(f, shape) for f in fields), resp, g1, g2, work=work)
+        return _pixel_major(eta, shape)
     parallel.map_blocks(lambda blk: _coupling_rows(
-        blk, *(f[:, blk.rows] for f in fields), target[:, blk.rows], g1, g2), work.blocks)
-    return _copy_out(out, target)
+        blk, *(f[:, blk.rows] for f in fields), g1, g2), work.blocks)
+    return work.eta
 
 
 def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
                          simplex_split_penalty: float, floor: float,
-                         *, out: np.ndarray | None = None,
-                         work: Workspace | None = None) -> np.ndarray:
+                         *, work: Workspace | None = None) -> np.ndarray:
     """Clamped normalization over the classes: floor the scores, then divide
-    by each pixel's class sum. Both operands have one shape, or the call
-    raises ValueError: class-major (K, n, n), the membership ADMM's, whose
-    class sum adds the class images one by one, or pixel-major (N,) or
-    (N, K), transposed in and the result back out. The result is written
-    into `out` when given. The pixels run in the row blocks of `work` (the
-    membership ADMM's workspace) or, without it, of a small workspace of
-    the call's own: the first on the calling thread and the rest on the
-    thread pool.
+    by each pixel's class sum, which adds the class images one by one.
+
+    With `work`, the membership ADMM's workspace, both operands are its
+    class-major arrays, taken as they are, and the result is written into
+    its `psi`. Without it both have one pixel-major shape, (N,) or (N, K),
+    or the call raises ValueError; they are transposed into a small
+    workspace of the call's own, and the float64 result viewed back. The
+    pixels run in the row blocks of the workspace, the first on the calling
+    thread and the rest on the thread pool.
 
     Every entry stays positive for any finite scores. Entries stay strictly
     below 1 only while a row's largest score is under about floor / eps
@@ -294,24 +268,21 @@ def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    shape = np.shape(coupling)
-    # the dtype of the allocating expression, which turns integer scores
-    # into floats
-    dtype = np.result_type(simplex_split_penalty, coupling, mult_simplex, floor, 1.0)
     if work is None:
-        work = Workspace(_pixel_grid(shape))
-    coupling, mult_simplex = (_in_grid(f, shape, work.grid) for f in (coupling, mult_simplex))
-    out, target = _result(out, shape, work.grid, dtype)
+        shape = np.shape(coupling)
+        coupling, mult_simplex = (_class_major(f, shape) for f in (coupling, mult_simplex))
+        work = Workspace(coupling.shape, psi=np.empty(coupling.shape))
+        psi = normalize_to_simplex(coupling, mult_simplex, simplex_split_penalty, floor, work=work)
+        return _pixel_major(psi, shape)
 
     def block(blk):
-        scores = np.multiply(simplex_split_penalty, coupling[:, blk.rows],
-                             out=target[:, blk.rows])
+        scores = np.multiply(simplex_split_penalty, coupling[:, blk.rows], out=blk.psi)
         scores += mult_simplex[:, blk.rows]
         np.maximum(scores, floor, out=scores)
         scores /= scores.sum(axis=0)
 
     parallel.map_blocks(block, work.blocks)
-    return _copy_out(out, target)
+    return work.psi
 
 
 # ----------------------------------------------------------------------
@@ -365,35 +336,26 @@ def _gradient_adjoint_rows(gh: np.ndarray, gv: np.ndarray, rows: slice, out: np.
     out[:, top:] += gv[:, start + top - 1:stop - 1]
 
 
-def _class_major(field: np.ndarray) -> np.ndarray:
-    """An (n, n) or (n, n, K) field as a contiguous class-major (1, n, n) or
-    (K, n, n) array; a contiguous (n, n) field is viewed, not copied."""
-    field = np.asarray(field)
-    return np.ascontiguousarray(field[None] if field.ndim == 2 else np.moveaxis(field, -1, 0))
-
-
-def _class_last(field: np.ndarray, ndim: int) -> np.ndarray:
-    """The inverse of `_class_major` for a field of `ndim` dimensions, as a view."""
-    return field[0] if ndim == 2 else np.moveaxis(field, 0, -1)
-
-
 def image_gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences along columns and rows; the replicated boundary
     makes the last difference in each direction zero. `field` has shape
-    (n, n) or (n, n, K); an (n, n, K) field is differenced class-major, on
-    a transposed copy."""
-    grid = _class_major(field)
+    (n, n) or (n, n, K), and so have gh and gv. It goes through the adapter
+    pair as an (N,) or (N, K) field: one contiguous image is viewed, any
+    other field transposed into a class-major copy."""
+    field = np.asarray(field)
+    grid = _class_major(field.reshape(-1, *field.shape[2:]), side=len(field))
     gh, gv = np.empty_like(grid), np.empty_like(grid)
     _gradient_rows(grid, slice(0, grid.shape[1]), gh, gv)
-    return _class_last(gh, np.ndim(field)), _class_last(gv, np.ndim(field))
+    return _pixel_major(gh, field.shape), _pixel_major(gv, field.shape)
 
 
 def image_gradient_adjoint(gh: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """Adjoint of `image_gradient`."""
-    h, v = _class_major(gh), _class_major(gv)
+    """Adjoint of `image_gradient`, through the same adapter pair."""
+    shape = np.shape(gh)
+    h, v = (_class_major(np.reshape(g, (-1, *shape[2:])), side=shape[0]) for g in (gh, gv))
     out = np.empty_like(h)
     _gradient_adjoint_rows(h, v, slice(0, h.shape[1]), out)
-    return _class_last(out, np.ndim(gh))
+    return _pixel_major(out, shape)
 
 
 def total_variation(field: np.ndarray) -> float:
@@ -518,58 +480,60 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     (I + BREGMAN_PENALTY_SCALE * grad^T grad) regardless of the weight;
     each pass solves it exactly in the 2-D DCT-II basis, which diagonalises
     the Neumann Laplacian of the replicated boundary. The basis is a cached
-    dense matrix applied by matmuls (about 8 n^3 K flops per pass). Accepts
-    a flat (N,) image or an (N, K) stack, which are transposed into a
-    class-major copy, or a class-major (K, n, n) stack, the membership
-    ADMM's; all classes share one Frobenius stopping rule. The passes stop
-    when the relative change of u drops below bregman_tol or after
-    bregman_max passes. Each pass runs as stages over row blocks of the
-    grid and blocks of classes, split over the thread pool once the stack
-    has at least 2 * MIN_BLOCK_ENTRIES entries and the BLAS can be pinned;
-    the result is bit-identical whatever the block count.
+    dense matrix applied by matmuls (about 8 n^3 K flops per pass). All
+    classes share one Frobenius stopping rule. The passes stop when the
+    relative change of u drops below bregman_tol or after bregman_max
+    passes. Each pass runs as stages over row blocks of the grid and blocks
+    of classes, split over the thread pool once the stack has at least
+    2 * MIN_BLOCK_ENTRIES entries and the BLAS can be pinned; the result is
+    bit-identical whatever the block count.
 
     `state` is a `Workspace` with the fields of `_tv_fields`, class-major:
     the membership ADMM's, or the one a previous call returned in its info
-    dict; a call without one makes a small one. The first call on a
-    workspace starts cold, seeding (d, b) from the input's gradient. Later
-    calls warm start from its iterate `delta` and (d, b); callers that
-    solve a sequence of nearby targets (the membership ADMM) converge in a
-    couple of passes that way. A call updates the workspace in place and
-    allocates no field. The returned field is `delta`, viewed in the
-    input's shape, which the next call overwrites; the iterate the call
-    started from is kept unchanged in `delta_prev`, so a caller may still
-    compare the two. A constant input is its own prox: it becomes `delta`,
-    with (d, b) zero.
+    dict; a call without one makes a small one. A field of the state's grid
+    is taken as it is (the membership ADMM passes its `target`). Any other
+    is a pixel-major (N,) image or (N, K) stack with N = grid_side², or the
+    call raises ValueError; it is transposed in, and the result viewed back
+    in its shape. The first call on a workspace starts cold, seeding (d, b)
+    from the input's gradient. Later calls warm start from its iterate
+    `delta` and (d, b); callers that solve a sequence of nearby targets (the
+    membership ADMM) converge in a couple of passes that way. A call updates
+    the workspace in place and allocates no field. The returned field is
+    `delta`, which the next call overwrites; the iterate the call started
+    from is kept unchanged in `delta_prev`, so a caller may still compare
+    the two. A constant input is its own prox: it becomes `delta`, with
+    (d, b) zero.
     """
+    n = int(grid_side)
+    if state is None or np.shape(field) != state.grid:
+        shape = np.shape(field)
+        v = _class_major(field, shape, n)
+        state = state or Workspace(v.shape, **_tv_fields(np.empty(v.shape)))
+        out, info = tv_prox(v, weight, n, cfg, state)
+        return _pixel_major(out, shape), info
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
     if not thresh > 0.0:  # also rejects a NaN weight
         raise ValueError("weight must be positive")
-    v_in = np.asarray(field, dtype=np.float64)
-    lo, hi = v_in.min(), v_in.max()  # both propagate NaN
+    lo, hi = field.min(), field.max()  # both propagate NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("input must be finite")
-    n = int(grid_side)
-    grid = (v_in.shape[0] if v_in.ndim == 3 else v_in.size // (n * n), n, n)
-    v = _in_grid(v_in, v_in.shape, grid)
-    if state is None:
-        state = Workspace(grid, **_tv_fields(np.empty(grid)))
     state.swap("delta", "delta_prev")
     src, passes = state.delta_prev, cfg.bregman_max
-    if lo == hi:  # constant input: TV is zero, v is the exact prox
-        np.copyto(state.delta, v)
+    if lo == hi:  # constant input: TV is zero, the field is the exact prox
+        np.copyto(state.delta, field)
         for part in (state.dh, state.dv, state.bh, state.bv):
             part.fill(0.0)
         passes = 0
     elif not state.warm:
         # seed the shrinkage pair from the input's gradients; the first
-        # inner solve with this seed would leave u = v untouched, so the
-        # loop starts directly at the solve for the seeded pair, from v
+        # inner solve with this seed would leave u = field untouched, so
+        # the loop starts directly at the solve for the seeded pair, from it
         def seed(blk):
-            _gradient_rows(v, blk.rows, blk.bh, blk.bv)
+            _gradient_rows(field, blk.rows, blk.bh, blk.bv)
             _shrink_step(blk, thresh)
         parallel.map_blocks(seed, state.blocks)
-        src = v
+        src = field
     state.warm = True
 
     basis, eig = _neumann_basis(n, scale)
@@ -578,33 +542,30 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         if iterations > 1:  # the last pass's iterate is the next one's source
             state.swap("delta", "spare")
             src = state.spare
-        rel = _bregman_pass(v, src, state, basis, eig, scale, thresh)
+        rel = _bregman_pass(field, src, state, basis, eig, scale, thresh)
         if rel < cfg.bregman_tol:
             break
-    out = state.delta if v_in.shape == grid else _pixel_major(state.delta, v_in.shape)
-    return out, {"iterations": iterations, "state": state}
+    return state.delta, {"iterations": iterations, "state": state}
 
 
 def admm_workspace(responsibilities: np.ndarray, memberships: np.ndarray, grid_side: int,
                    tv_split_penalty: float, simplex_split_penalty: float) -> Workspace:
-    """The workspace of one membership ADMM on (N, K) fields of an n x n
-    grid, with every field class-major, (K, n, n): the fields of `tv_prox`
-    and of `update_coupling`, formed from these responsibilities and
-    penalties, and the ADMM's own: the coupling `eta`, the simplex block
-    `psi`, the multipliers `lam_tv` and `lam_simplex`, and the TV target
-    `target`. The TV iterate `delta`, `eta`, `psi` and the first target,
-    eta - lam_tv / g1, start at `memberships`, transposed in once; the
-    multipliers start at zero."""
+    """The workspace of one membership ADMM on pixel-major (N, K) fields of
+    an n x n grid, with every field class-major, (K, n, n): the fields of
+    `tv_prox` and of `update_coupling`, formed from these responsibilities
+    and penalties, and the ADMM's own: the coupling `eta`, the simplex
+    block `psi`, the multipliers `lam_tv` and `lam_simplex`, and the TV
+    target `target`. The TV iterate `delta`, `eta`, `psi` and the first
+    target, eta - lam_tv / g1, start at `memberships`, transposed in once
+    by `_class_major`; the multipliers start at zero."""
     g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
-    memberships = np.asarray(memberships, dtype=np.float64)
-    grid = (memberships.shape[-1], grid_side, grid_side)
-    delta = _in_grid(memberships, memberships.shape, grid)
-    resp = _in_grid(responsibilities, np.shape(responsibilities), grid)
-    ws = Workspace(grid, **_tv_fields(delta), **_coupling_fields(resp, g1, g2),
-                   eta=delta.copy(), psi=delta.copy(), lam_tv=np.zeros_like(delta),
-                   lam_simplex=np.zeros_like(delta), target=delta.copy())
-    ws.responsibilities, ws.penalties = responsibilities, (g1, g2)
-    return ws
+    delta = _class_major(memberships, side=grid_side)
+    if np.may_share_memory(delta, memberships):  # one class is viewed; the ADMM writes it
+        delta = delta.copy()
+    resp = _class_major(responsibilities, np.shape(memberships), grid_side)
+    return Workspace(delta.shape, **_tv_fields(delta), **_coupling_fields(resp, g1, g2),
+                     eta=delta.copy(), psi=delta.copy(), lam_tv=np.zeros_like(delta),
+                     lam_simplex=np.zeros_like(delta), target=delta.copy())
 
 
 def update_multipliers(ws: Workspace, g1: float, g2: float) -> None:

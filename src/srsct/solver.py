@@ -159,9 +159,8 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
             denom = np.linalg.norm(ws.delta_prev)
             np.subtract(ws.delta, ws.delta_prev, out=ws.target)
             rel = np.linalg.norm(ws.target) / denom if denom > 0.0 else np.inf
-            update_coupling(ws.delta, ws.psi, ws.lam_tv, ws.lam_simplex, phi, g1, g2,
-                            out=ws.eta, work=ws)
-            normalize_to_simplex(ws.eta, ws.lam_simplex, g2, SIMPLEX_FLOOR, out=ws.psi, work=ws)
+            update_coupling(ws.delta, ws.psi, ws.lam_tv, ws.lam_simplex, phi, g1, g2, work=ws)
+            normalize_to_simplex(ws.eta, ws.lam_simplex, g2, SIMPLEX_FLOOR, work=ws)
             update_multipliers(ws, g1, g2)  # and the next TV target
 
             # the TV block is computed from the previous duals, so its change

@@ -13,6 +13,7 @@ import pytest
 import srsct.experiment as exp
 from srsct.cli import main
 from srsct.config import (
+    MAX_ANGLES,
     ExperimentConfig,
     SolverConfig,
     build_experiment_config,
@@ -29,6 +30,8 @@ FAST = dict(
 )
 FAST_SOLVER = SolverConfig(data_weight=0.2, tv_weight=1.0, tikhonov_weight=1.0,
                            simplex_split_penalty=2.0, outer_max=6)
+# one angle over the bound, every angle in (0, 180]
+OVERSIZE_ANGLES = "{0}:{0}:180".format(180 / (MAX_ANGLES + 1))
 
 
 # every config key with its annotated type: the fields of both dataclasses
@@ -74,6 +77,14 @@ class TestAngleSpec:
             parse_angles("6:-6:180")
         for spec in ("0:1:inf", "nan:6:180", "6:inf:180", "6:6:-inf"):
             with pytest.raises(ValueError, match="must be finite"):
+                parse_angles(spec)
+
+    def test_angle_count_bounded(self):
+        # a spec one angle over the bound fails; the count is checked before
+        # the list is built, so a spec such as 1:1e-12:180 never expands
+        assert len(parse_angles(f"1:1:{MAX_ANGLES}")) == MAX_ANGLES
+        for spec in (OVERSIZE_ANGLES, "0.5:1e-320:180"):  # a count that overflows to inf
+            with pytest.raises(ValueError, match=f"more than {MAX_ANGLES} angles"):
                 parse_angles(spec)
 
 
@@ -341,10 +352,11 @@ class TestCli:
         (["run", "--n", "16"], "noise_level = nan"),
         (["run", "--n", "16"], "prior_sigma = nan"),
         (["run", "--n", "16"], "pgm_binary = ture"),
+        (["run", "--n", "16"], f"angles = {OVERSIZE_ANGLES}"),
     ], ids=["n8", "n1", "negative-noise", "sweep-side-100", "zero-detector-pixels",
             "zero-angle", "zero-prior-sigma", "infinite-angle-stop", "nan-tv-weight",
             "nan-outer-tol", "infinite-data-weight", "nan-noise", "nan-prior-sigma",
-            "misspelled-bool"])
+            "misspelled-bool", "too-many-angles"])
     def test_bad_scan_settings_exit_one_before_any_trial(self, tmp_path, args, cfg_line):
         out = tmp_path / "out"
         argv = args + ["--trials", "1", "--out", str(out)]

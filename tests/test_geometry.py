@@ -357,8 +357,9 @@ class TestSplitBuild:
         monkeypatch.setattr(sp.csr_matrix, "sum_duplicates", counting)
         with build_blocks(3):
             A = build_parallel_geometry(*CORNER_SCAN)
-        # one canonicalisation per block, and nothing left for the whole matrix
-        assert summed == [2, 0, 10, 0]
+        # one canonicalisation per block, and nothing left for the whole
+        # matrix. The blocks finish on the pool in any order
+        assert sorted(summed[:-1]) == [0, 2, 10] and summed[-1] == 0
         assert A._matrix.has_canonical_format and np.all(A.values > 0.0)
 
     @given(st.integers(2, 24), st.integers(1, 40), scan_angles(), st.integers(2, 3))

@@ -172,25 +172,6 @@ class TestUpdateCoupling:
             residual = -resp / eta + g1 * (eta - memb) - l1 + g2 * (eta - simp) + l2
             assert np.abs(residual).max() < 1e-10
 
-    def test_work_matches_a_call_without_it(self):
-        rng = np.random.default_rng(11)
-        memb, simp, resp = (rng.dirichlet(np.ones(3), size=16) for _ in range(3))
-        l1, l2 = rng.standard_normal((2, 16, 3))
-        work = admm_workspace(resp, memb, 4, 0.7, 1.3)
-        out = np.empty_like(memb)
-        eta = update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3, out=out, work=work)
-        assert eta is out
-        assert np.array_equal(eta, update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3))
-
-    def test_work_from_other_inputs_rejected(self):
-        rng = np.random.default_rng(12)
-        memb, simp, resp = (rng.dirichlet(np.ones(3), size=16) for _ in range(3))
-        zeros = np.zeros_like(memb)
-        work = admm_workspace(resp, memb, 4, 0.7, 1.3)
-        for args in [(resp.copy(), 0.7, 1.3), (resp, 0.7, 2.0), (resp, 2.0, 1.3)]:
-            with pytest.raises(ValueError, match="other responsibilities or penalties"):
-                update_coupling(memb, simp, zeros, zeros, *args, work=work)
-
 
 class TestNormalizeToSimplex:
     def test_already_normalized(self):
@@ -255,16 +236,54 @@ class TestNormalizeToSimplex:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("kernel", ["coupling", "simplex"])
+@pytest.mark.parametrize("kernel", ["coupling", "simplex", "tv_prox-stack", "tv_prox-flat"])
 def test_operand_of_another_shape_rejected(kernel):
     # a (K,) multiplier no longer broadcasts along the rows: every operand
-    # has the field's shape
+    # has the field's shape. An (8, 2) stack or a flat (32,) image does not
+    # fill a 4 x 4 grid: N = grid_side² is required
     field, row = np.full((4, 3), 1 / 3), np.zeros(3)
-    with pytest.raises(ValueError, match=r"operand of shape \(3,\) does not match"):
-        if kernel == "coupling":
-            update_coupling(field, field, row, field, field, 1.0, 2.0)
-        else:
-            normalize_to_simplex(field, row, 2.0, 1e-4)
+    rng = np.random.default_rng(0)
+    calls = {"coupling": lambda: update_coupling(field, field, row, field, field, 1.0, 2.0),
+             "simplex": lambda: normalize_to_simplex(field, row, 2.0, 1e-4),
+             "tv_prox-stack": lambda: tv_prox(rng.random((8, 2)), 0.5, 4, SolverConfig()),
+             "tv_prox-flat": lambda: tv_prox(rng.random(32), 0.5, 4, SolverConfig())}
+    message = (r"operand of shape \(3,\) does not match" if kernel in ("coupling", "simplex")
+               else r"is not pixel-major, \(N,\) or \(N, K\) with N = 4 \* 4")
+    with pytest.raises(ValueError, match=message):
+        calls[kernel]()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_workspace_calls_match_standalone_calls(admm_blocks, count):
+    # each kernel on the same (N, K) fields: once on the membership ADMM's
+    # workspace, whose class-major fields it takes as they are and whose
+    # output field it writes in place, and once standalone, through the
+    # adapter pair; at one block and split
+    admm_blocks(count)
+    n, k, g1, g2 = 7, 3, 0.7, 1.3
+    rng = np.random.default_rng(11)
+    memb, simp, resp = (rng.dirichlet(np.ones(k), size=n * n) for _ in range(3))
+    target, l1, l2 = rng.standard_normal((3, n * n, k))
+    ws = admm_workspace(resp, memb, n, g1, g2)
+    assert len(ws.blocks) == count
+
+    def class_major(field):
+        return np.ascontiguousarray(field.T).reshape(k, n, n)
+
+    for name, field in (("target", target), ("psi", simp), ("lam_tv", l1), ("lam_simplex", l2)):
+        np.copyto(getattr(ws, name), class_major(field))
+    cfg = SolverConfig(bregman_max=3, bregman_tol=1e-6)
+    delta, info = tv_prox(ws.target, 0.5, n, cfg, state=ws)
+    ref_delta, ref_info = tv_prox(target, 0.5, n, cfg)
+    eta = update_coupling(ws.delta, ws.psi, ws.lam_tv, ws.lam_simplex, resp, g1, g2, work=ws)
+    ref_eta = update_coupling(ref_delta, simp, l1, l2, resp, g1, g2)
+    psi = normalize_to_simplex(ws.eta, ws.lam_simplex, g2, 1e-4, work=ws)
+    ref_psi = normalize_to_simplex(ref_eta, l2, g2, 1e-4)
+    assert delta is ws.delta and eta is ws.eta and psi is ws.psi
+    assert info["state"] is ws and info["iterations"] == ref_info["iterations"]
+    for mine, ref in ((delta, ref_delta), (eta, ref_eta), (psi, ref_psi)):
+        assert ref.shape == (n * n, k)
+        assert np.array_equal(mine, class_major(ref))
 
 
 class TestUpdateResponsibilities:
@@ -732,11 +751,11 @@ class TestSplitKernels:
         l1, l2 = rng.standard_normal((2, n * n, k))
 
         def run():
-            work = admm_workspace(resp, memb, n, 0.7, 1.3)
-            eta = update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3, work=work)
+            eta = update_coupling(memb, simp, l1, l2, resp, 0.7, 1.3)
             # shifted down so that some scores are clamped at the floor
             psi = normalize_to_simplex(eta - 0.3, l2, 2.0, 1e-4)
-            return (eta, psi), len(work.blocks)
+            # the row blocks of the calls' own class-major (K, N, 1) workspaces
+            return (eta, psi), len(kernels._field_blocks((k, n * n, 1)))
 
         admm_blocks(1)
         whole, one = run()
@@ -820,17 +839,13 @@ class TestClassSum:
     @pytest.mark.parametrize("k", [*range(1, 21), 136, 300])
     def test_is_numpys_row_sum(self, k):
         # the simplex step divides by numpy's own sum over the class axis of
-        # the class-major scores, which adds the class images one by one,
-        # for pixel-major operands as for class-major ones
+        # the class-major scores, which adds the class images one by one
         rng = np.random.default_rng(k)
         scores = rng.random((257, k)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(257, k))
         class_major = np.ascontiguousarray(np.maximum(scores, 1e-4).T)
         expected = class_major / class_major.sum(axis=0)
         out = normalize_to_simplex(scores, np.zeros_like(scores), 1.0, 1e-4)
         assert np.array_equal(out, expected.T)
-        grid = np.ascontiguousarray(scores.T).reshape(k, 257, 1)
-        out = normalize_to_simplex(grid, np.zeros_like(grid), 1.0, 1e-4)
-        assert np.array_equal(out, expected.reshape(grid.shape))
 
 
 class TestSolveReconstruction:

@@ -107,16 +107,15 @@ class TestMembershipSubproblem:
 
 
 def allocating_admm(resp, init, cfg, n):
-    """The membership ADMM as a plain allocating loop on class-major
-    (K, n, n) copies of its (N, K) fields: every iterate is a fresh array,
-    and the relative change of the TV block is formed from its own norms
-    on every iteration. Kept as the reference that the in-place solver
-    must match bit for bit."""
+    """The membership ADMM as a plain allocating loop on its (N, K) fields,
+    over standalone kernel calls: every iterate is a fresh array, and the
+    relative change of the TV block is formed on every iteration from its
+    own norms, taken class-major as the workspace holds the fields. Kept as
+    the reference that the in-place solver must match bit for bit."""
     def class_major(field):
-        return np.ascontiguousarray(field.T).reshape(-1, n, n)
+        return np.ascontiguousarray(field.T)
 
-    resp = class_major(resp)
-    delta = class_major(init)
+    delta = init.copy()
     eta = delta.copy()
     psi = delta.copy()
     lam_tv = np.zeros_like(delta)
@@ -139,13 +138,13 @@ def allocating_admm(resp, init, cfg, n):
         psi = normalize_to_simplex(eta, lam_simplex, g2, solver.SIMPLEX_FLOOR)
         lam_tv = lam_tv + g1 * (delta - eta)
         lam_simplex = lam_simplex + g2 * (eta - psi)
-        denom = np.linalg.norm(delta_prev)
-        rel = np.linalg.norm(delta - delta_prev) / denom if denom > 0 else np.inf
+        denom = np.linalg.norm(class_major(delta_prev))
+        rel = (np.linalg.norm(class_major(delta - delta_prev)) / denom if denom > 0
+               else np.inf)
         if iterations > 1 and rel < cfg.admm_tol:
             break
-    return psi.reshape(len(psi), -1).T.copy(), {"iterations": iterations,
-                                                "rel_change": float(rel),
-                                                "bregman_iterations": bregman_total}
+    return psi, {"iterations": iterations, "rel_change": float(rel),
+                 "bregman_iterations": bregman_total}
 
 
 class TestMembershipSubproblemInPlace:
