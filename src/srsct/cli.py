@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import build_experiment_config, parse_config_file
-from .experiment import check_config, run_experiment, scale_sweep, sweep_config, worker_count
+from .experiment import run_experiment, sweep_config, worker_count
 
 
 class _CliError(Exception):
@@ -73,17 +73,11 @@ def main(argv=None) -> int:
             if not sides:
                 raise ValueError("--sides must list at least one grid side")
             configs = [sweep_config(cfg, side) for side in sides]
-        for each in configs:
-            check_config(each)
     except (_CliError, ValueError, OSError) as exc:
         print(f"srs: configuration error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "run":
-        reports = [run_experiment(cfg)]
-    else:
-        reports = scale_sweep(cfg, sides)
-
+    reports = [run_experiment(c) for c in configs]
     for report in reports:
         print(_report_lines(report))
     if any(r.n_failed for r in reports):

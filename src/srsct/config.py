@@ -7,6 +7,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .geometry import check_noise_level, check_scan
+from .phantoms import check_grid_side
+
 
 @dataclass
 class SolverConfig:
@@ -91,7 +94,12 @@ _SMOOTH_DEFAULTS = dict(
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: phantom, scan geometry, noise, trials and solver knobs."""
+    """One experiment: phantom, scan geometry, noise, trials and solver knobs.
+
+    Valid by construction: a bad phantom, variant, trial count, grid side,
+    scan, noise level or prior sigma raises ValueError here, before any
+    trial exists.
+    """
 
     phantom: str = "piecewise"
     grid_side: int = 64
@@ -113,7 +121,10 @@ class ExperimentConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-        parse_angles(self.angles)  # rejects a malformed or empty spec
+        check_grid_side(self.grid_side)
+        check_scan(self.grid_side, self.detector_pixels, parse_angles(self.angles))
+        check_noise_level(self.noise_level)
+        ClassPrior([0.0], [self.prior_sigma])  # a positive, finite prior sigma
 
 
 # Most angles a scan may have: one per 0.05 degrees over 180, 15 times the
@@ -123,7 +134,8 @@ MAX_ANGLES = 3600
 
 def parse_angles(spec: str) -> list[float]:
     """Expand a `start:step:stop` degree spec into an inclusive angle list
-    of at most MAX_ANGLES angles; the count is checked before expanding."""
+    of at most MAX_ANGLES angles, none past stop; the count is checked
+    before expanding."""
     parts = str(spec).split(":")
     if len(parts) != 3:
         raise ValueError(f"angle spec {spec!r} must be start:step:stop")
@@ -137,7 +149,7 @@ def parse_angles(spec: str) -> list[float]:
         raise ValueError(f"angle spec {spec!r} yields no angles")
     if count > MAX_ANGLES:
         raise ValueError(f"angle spec {spec!r} yields more than {MAX_ANGLES} angles")
-    return [start + step * k for k in range(int(count))]
+    return [min(start + step * k, stop) for k in range(int(count))]
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ClassPrior, ExperimentConfig, parse_angles
-from .geometry import add_noise, apply, build_parallel_geometry, check_noise_level, check_scan
+from .geometry import add_noise, apply, build_parallel_geometry
 from .metrics import reconstruction_error, segmentation_error
 from .pgm import write_pgm
-from .phantoms import (check_grid_side, make_piecewise_phantom, make_smooth_phantom,
-                       write_labels_csv)
+from .phantoms import make_piecewise_phantom, make_smooth_phantom, write_labels_csv
 from .solver import SrsProblem, reconstruct_and_segment
 
 REPORT_HEADER = "seed,rec_err,seg_err,seconds,outer_iters,status"
@@ -67,15 +66,6 @@ def _scan_setup(phantom_kind: str, grid_side: int, detector_pixels: int, angles:
     system = build_parallel_geometry(grid_side, detector_pixels, parse_angles(angles))
     b_clean = apply(system, phantom.image)
     return phantom, system, b_clean
-
-
-def check_config(cfg: ExperimentConfig) -> None:
-    """Apply the phantom, scan, noise and prior rules to one configuration,
-    so that a bad setting fails before any trial runs."""
-    check_grid_side(cfg.grid_side)
-    check_scan(cfg.grid_side, cfg.detector_pixels, parse_angles(cfg.angles))
-    check_noise_level(cfg.noise_level)
-    ClassPrior([0.0], [cfg.prior_sigma])
 
 
 def run_trial(cfg: ExperimentConfig, seed: int):
@@ -213,11 +203,11 @@ def _write_artifacts(report: RunReport, first_result) -> None:
 
 
 def sweep_config(base: ExperimentConfig, grid_side: int) -> ExperimentConfig:
-    """Scale the scan so the measurement/unknown ratio matches the base setup."""
-    if grid_side % _BASE_SIDE != 0 or grid_side not in (64, 128, 256, 512):
+    """Scale the scan so the measurement/unknown ratio matches the base setup;
+    the scaled config is checked as any other."""
+    if grid_side not in (64, 128, 256, 512):
         raise ValueError("sweep sides must be one of 64, 128, 256, 512")
-    factor = grid_side // _BASE_SIDE
-    step = _BASE_ANGLE_STEP / factor
+    step = _BASE_ANGLE_STEP / (grid_side // _BASE_SIDE)
     out_dir = None
     if base.out_dir is not None:
         out_dir = str(Path(base.out_dir) / f"n{grid_side}")
@@ -226,11 +216,3 @@ def sweep_config(base: ExperimentConfig, grid_side: int) -> ExperimentConfig:
                    detector_pixels=round(_BASE_DETECTOR * grid_side / _BASE_SIDE),
                    angles=f"{step}:{step}:180",
                    out_dir=out_dir)
-
-
-def scale_sweep(base: ExperimentConfig, sides) -> list[RunReport]:
-    """Run the experiment at several resolutions, collecting one report each."""
-    reports = []
-    for side in sides:
-        reports.append(run_experiment(sweep_config(base, int(side))))
-    return reports

@@ -508,6 +508,9 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     if state is None or np.shape(field) != state.grid:
         shape = np.shape(field)
         v = _class_major(field, shape, n)
+        if state is not None and v.shape != state.grid:
+            raise ValueError(f"a field of shape {shape}, {v.shape} class-major, does not "
+                             f"match the state's grid {state.grid}")
         state = state or Workspace(v.shape, **_tv_fields(np.empty(v.shape)))
         out, info = tv_prox(v, weight, n, cfg, state)
         return _pixel_major(out, shape), info

@@ -28,5 +28,4 @@ def write_pgm(path, image: np.ndarray, binary: bool = False) -> None:
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n{MAXVAL}\n")
-            for row in quantized:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            np.savetxt(fh, quantized, fmt="%d")

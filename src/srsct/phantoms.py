@@ -104,6 +104,4 @@ def make_smooth_phantom(grid_side: int) -> Phantom:
 
 def write_labels_csv(path, labels: np.ndarray) -> None:
     """Write a 2-D label grid as ASCII CSV, one image row per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for row in labels:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    np.savetxt(path, labels, fmt="%d", delimiter=",")

@@ -34,7 +34,7 @@ from srsct import (
     update_responsibilities,
 )
 from srsct.config import ExperimentConfig
-from srsct.experiment import scale_sweep
+from srsct.experiment import run_experiment, sweep_config
 from srsct.solver import SrsProblem
 
 pytestmark = pytest.mark.slow
@@ -436,7 +436,7 @@ def test_criterion_9_resolution_scaling(tmp_path):
         phantom="piecewise", grid_side=64, detector_pixels=91, angles="6:6:180",
         noise_level=0.05, trials=1, seed=77, variant="model-16",
         prior_sigma=0.1, out_dir=str(tmp_path), solver=PIECEWISE_SOLVER)
-    reports = scale_sweep(base, [64, 128, 256])
+    reports = [run_experiment(sweep_config(base, side)) for side in (64, 128, 256)]
     seconds = [r.mean_seconds for r in reports]
     assert all(r.n_failed == 0 for r in reports)
     assert seconds[1] <= 12 * seconds[0]

@@ -20,7 +20,7 @@ from srsct.config import (
     parse_angles,
     parse_config_file,
 )
-from srsct.experiment import run_experiment, scale_sweep, sweep_config
+from srsct.experiment import run_experiment, sweep_config
 from srsct.pgm import write_pgm
 
 # small but complete experiment: fast enough for the unit suite
@@ -41,6 +41,7 @@ SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
 # (file text, parsed value): by type, or by key where the value has a domain
 TYPE_SAMPLES = {"bool": ("off", False), "int": ("7", 7), "float": ("0.5", 0.5)}
 STRING_SAMPLES = {"phantom": ("smooth", "smooth"), "angles": ("12:12:180", "12:12:180"),
+                  "grid_side": ("32", 32),
                   "variant": ("model-9", "model-9"), "out_dir": ("runs/x", "runs/x")}
 
 
@@ -78,6 +79,11 @@ class TestAngleSpec:
         for spec in ("0:1:inf", "nan:6:180", "6:inf:180", "6:6:-inf"):
             with pytest.raises(ValueError, match="must be finite"):
                 parse_angles(spec)
+
+    def test_last_angle_stops_at_stop(self):
+        # 0.05 * 3599 rounds to 180.00000000000003: clamped to the stop
+        angles = parse_angles("0.05:0.05:180")
+        assert len(angles) == 3600 and angles[-1] == 180.0
 
     def test_angle_count_bounded(self):
         # a spec one angle over the bound fails; the count is checked before
@@ -154,6 +160,25 @@ class TestConfigFile:
             ExperimentConfig(phantom="cube")
         with pytest.raises(ValueError):
             ExperimentConfig(variant="model-5")
+
+    @pytest.mark.parametrize("setting,message", [
+        (dict(grid_side=8), "grid side 8 is below 16"),
+        (dict(grid_side=1), "grid side 1 is below 16"),
+        (dict(detector_pixels=0), "detector needs at least one pixel"),
+        (dict(angles="0:6:180"), r"angle 0.0 outside \(0, 180\] degrees"),
+        (dict(angles="0:1:inf"), "must be finite"),
+        (dict(angles=OVERSIZE_ANGLES), f"more than {MAX_ANGLES} angles"),
+        (dict(noise_level=-1.0), "noise level must be finite and nonnegative"),
+        (dict(noise_level=float("nan")), "noise level must be finite and nonnegative"),
+        (dict(prior_sigma=0.0), "standard deviations must be positive"),
+        (dict(prior_sigma=float("nan")), "must be finite"),
+    ], ids=["n8", "n1", "zero-detector-pixels", "zero-angle", "infinite-angle-stop",
+            "too-many-angles", "negative-noise", "nan-noise", "zero-prior-sigma",
+            "nan-prior-sigma"])
+    def test_bad_scan_setting_rejected_at_construction(self, setting, message):
+        # the rules the CLI applies: no config, hence no trial, exists
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**setting)
 
 
 class TestRunExperiment:
@@ -272,9 +297,8 @@ class TestSweep:
         # grid side 64 is the smallest sweep point; single fast trial
         base = fast_config(trials=1, out_dir=str(tmp_path),
                            noise_level=0.05)
-        reports = scale_sweep(base, [64])
-        assert len(reports) == 1
-        assert reports[0].config.grid_side == 64
+        report = run_experiment(sweep_config(base, 64))
+        assert report.config.grid_side == 64
         assert (tmp_path / "n64" / "report.csv").exists()
 
 

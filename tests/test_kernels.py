@@ -236,19 +236,30 @@ class TestNormalizeToSimplex:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("kernel", ["coupling", "simplex", "tv_prox-stack", "tv_prox-flat"])
+@pytest.mark.parametrize("kernel", ["coupling", "simplex", "tv_prox-stack", "tv_prox-flat",
+                                    "tv_prox-state"])
 def test_operand_of_another_shape_rejected(kernel):
     # a (K,) multiplier no longer broadcasts along the rows: every operand
     # has the field's shape. An (8, 2) stack or a flat (32,) image does not
-    # fill a 4 x 4 grid: N = grid_side² is required
+    # fill a 4 x 4 grid: N = grid_side² is required. A state made on two
+    # classes does not take a field of three
     field, row = np.full((4, 3), 1 / 3), np.zeros(3)
     rng = np.random.default_rng(0)
+
+    def other_class_count():
+        _, info = tv_prox(rng.random((16, 2)), 0.5, 4, SolverConfig())
+        tv_prox(rng.random((16, 3)), 0.5, 4, SolverConfig(), state=info["state"])
+
     calls = {"coupling": lambda: update_coupling(field, field, row, field, field, 1.0, 2.0),
              "simplex": lambda: normalize_to_simplex(field, row, 2.0, 1e-4),
              "tv_prox-stack": lambda: tv_prox(rng.random((8, 2)), 0.5, 4, SolverConfig()),
-             "tv_prox-flat": lambda: tv_prox(rng.random(32), 0.5, 4, SolverConfig())}
-    message = (r"operand of shape \(3,\) does not match" if kernel in ("coupling", "simplex")
-               else r"is not pixel-major, \(N,\) or \(N, K\) with N = 4 \* 4")
+             "tv_prox-flat": lambda: tv_prox(rng.random(32), 0.5, 4, SolverConfig()),
+             "tv_prox-state": other_class_count}
+    operand = r"operand of shape \(3,\) does not match"
+    messages = {"coupling": operand, "simplex": operand,
+                "tv_prox-state": r"a field of shape \(16, 3\), \(3, 4, 4\) class-major, "
+                                 r"does not match the state's grid \(2, 4, 4\)"}
+    message = messages.get(kernel, r"is not pixel-major, \(N,\) or \(N, K\) with N = 4 \* 4")
     with pytest.raises(ValueError, match=message):
         calls[kernel]()
 
