@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,8 +61,9 @@ class SystemMatrix:
     def __init__(self, matrix: sp.csr_matrix, detector_pixels: int = 0,
                  angles_deg: tuple[float, ...] = ()):
         matrix = sp.csr_matrix(matrix)
-        matrix.sum_duplicates()
-        matrix.sort_indices()
+        if not matrix.has_canonical_format:  # canonicalise a copy, not the caller's arrays
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
         self._matrix = matrix
         self._matrix_t = matrix.T.tocsr()
         self._blocks = _row_blocks(self._matrix)
@@ -136,10 +138,18 @@ class Sinogram:
         return self.values.shape[0]
 
 
+def check_integer(value, name: str) -> int:
+    """`value` as an int; a non-integer, a float too, raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_scan(grid_side: int, detector_pixels: int, angles_deg):
     """Validate a parallel-beam scan; returns it as (n, p, list of angles)."""
-    n = int(grid_side)
-    p = int(detector_pixels)
+    n = check_integer(grid_side, "grid_side")
+    p = check_integer(detector_pixels, "detector_pixels")
     angles = [float(a) for a in np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))]
     if n < 2:
         raise ValueError("grid side must be at least 2")
@@ -160,26 +170,18 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
     Each stored value is the intersection length (in pixel units) of one ray
     with one pixel, found by sorting the ray's crossing parameters with all
     grid lines and assigning each segment to the pixel containing its
-    midpoint. Rows are angle-major, then ray. The angle list is cut into
-    consecutive blocks by the one block rule (`parallel.block_count`, at
-    least MIN_TRACE_UNITS each), and the blocks are traced at once on the
-    thread pool (`parallel.map_blocks`). Each block makes its own rows
-    canonical, sorted by column with duplicate (ray, pixel) entries summed,
-    as scipy's `sum_duplicates` does for the whole matrix; no row spans two
-    blocks, so the blocks are then concatenated as they stand. The matrix is
-    bit-identical whatever the block count, and reproducible.
-    """
+    midpoint. Rows are angle-major, then ray. Consecutive blocks of angles,
+    at least MIN_TRACE_UNITS each (`parallel.block_count`, `parallel.spans`),
+    are traced at once on the thread pool, each sorting its rows by column
+    and summing duplicate (ray, pixel) entries. No row spans two blocks, so
+    `scipy.sparse.vstack` stacks them as they stand, bit-identical to one
+    block."""
     n, p, angles = check_scan(grid_side, detector_pixels, angles_deg)
     # whole angles per block, each angle p * n units
     count = parallel.block_count(len(angles), -(-MIN_TRACE_UNITS // (p * n)))
-    blocks = [angles[len(angles) * i // count:len(angles) * (i + 1) // count]
-              for i in range(count)]
-    parts = parallel.map_blocks(lambda block: _trace_rows(n, p, block), blocks)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(
-        [np.diff(part.indptr) for part in parts]))))
-    matrix = sp.csr_matrix((np.concatenate([part.data for part in parts]),
-                            np.concatenate([part.indices for part in parts]), indptr),
-                           shape=(p * len(angles), n * n))
+    parts = parallel.map_blocks(lambda span: _trace_rows(n, p, angles[span]),
+                                parallel.spans(len(angles), count))
+    matrix = sp.vstack(parts, format="csr")
     del parts  # free the blocks before the transposed copy
     return SystemMatrix(matrix, detector_pixels=p, angles_deg=tuple(angles))
 

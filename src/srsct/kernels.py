@@ -61,19 +61,13 @@ MIN_BLOCK_ENTRIES = 24_576
 # Row blocks and the class-major layout
 # ----------------------------------------------------------------------
 
-def _spans(length: int, count: int) -> tuple:
-    """`count` consecutive, nearly equal, nonempty slices of range(length)."""
-    bounds = [length * i // count for i in range(count + 1)]
-    return tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
-
-
 def _field_blocks(shape: tuple[int, ...]) -> tuple:
     """The row blocks of a field of this shape: ranges of its rows, the
     second-to-last axis, one per block that `parallel.block_count` grants
     the whole field."""
     rows = shape[-2]
-    return _spans(rows, min(parallel.block_count(math.prod(shape), MIN_BLOCK_ENTRIES),
-                            max(rows, 1)))
+    count = parallel.block_count(math.prod(shape), MIN_BLOCK_ENTRIES)
+    return parallel.spans(rows, min(count, max(rows, 1)))
 
 
 class Workspace:
@@ -95,7 +89,7 @@ class Workspace:
         self.blocks = tuple(
             SimpleNamespace(rows=rows, **{key: f[:, rows] for key, f in fields.items()})
             for rows in _field_blocks(grid))
-        self.classes = _spans(grid[0], min(len(self.blocks), grid[0]))
+        self.classes = parallel.spans(grid[0], min(len(self.blocks), grid[0]))
 
     def swap(self, a: str, b: str) -> None:
         for part in (self, *self.blocks):
@@ -391,17 +385,17 @@ def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _tv_fields(delta: np.ndarray) -> dict:
     """The fields of `tv_prox` on the class-major grid of `delta`, with
-    `delta` as the iterate: its two other buffers, the shrunk gradient (dh,
-    dv), the Bregman variable (bh, bv) and the pass scratch `work`."""
+    `delta` as the iterate: its two other buffers, the shrunk gradient less
+    the Bregman variable, d - b, in (dh, dv), b in (bh, bv) and the scratch."""
     return {"delta": delta,
             **{name: np.empty(delta.shape)
                for name in ("delta_prev", "spare", "dh", "dv", "bh", "bv", "work")}}
 
 
 def _shrink_step(st: SimpleNamespace, thresh: float) -> None:
-    """Isotropic shrinkage of the pair held in (bh, bv) by thresh into
-    (dh, dv), then b <- (bh, bv) - d: the Bregman update reuses the sum
-    grad u + b that the shrink is applied to."""
+    """Isotropic shrinkage of the pair held in (bh, bv) by thresh into d,
+    then b <- (bh, bv) - d, reusing the sum grad u + b that the shrink is
+    applied to; leaves d - b, which the next pass reads, in (dh, dv)."""
     mag = st.work
     np.multiply(st.bh, st.bh, out=mag)
     np.multiply(st.bv, st.bv, out=st.dh)
@@ -418,29 +412,24 @@ def _shrink_step(st: SimpleNamespace, thresh: float) -> None:
     np.multiply(factor, st.bh, out=st.dh)
     st.bh -= st.dh
     st.bv -= st.dv
+    st.dh -= st.bh
+    st.dv -= st.bv
 
 
 def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace, basis: np.ndarray,
                   eig: np.ndarray, scale: float, thresh: float) -> float:
-    """One split-Bregman pass from the iterate `src`, writing the new
-    iterate into ws.delta and updating (dh, dv, bh, bv) in place; `src`,
-    class-major like `v`, is left as it was. Returns the relative change
-    of the iterate.
+    """One split-Bregman pass from the iterate `src`, class-major like `v`
+    and left as it was, into ws.delta, with d - b and b updated in place in
+    (dh, dv) and (bh, bv). Returns the relative change of the iterate.
 
-    The pass runs as stages, each finishing on every block before the next
-    starts, because the gradient pair reads rows of other blocks. The
-    stencils and the shrink run over the row blocks of the grid. The DCT
-    solve runs over blocks of classes: each class image is transformed by
-    whole n x n GEMMs, the same ones whatever the block count, which a
-    split by rows would not be (which micro-kernel OpenBLAS gives a part
-    of a GEMM depends on its shape, so a row split changes the last
-    digits of some rows at some n). The norms of the relative change are
-    taken whole.
+    Three stages, each finishing on every block before the next starts: the
+    right-hand side over row blocks (its adjoint reads the row above), the
+    DCT solve over blocks of classes, and the shrink over row blocks (its
+    gradient reads the row below). Each class image is transformed by whole
+    n x n GEMMs, the same ones whatever the block count; a row split would
+    change the last digits of some rows at some n, as OpenBLAS picks a
+    GEMM's micro-kernel by its shape. The relative change is taken whole.
     """
-    def subtract(blk):  # d - b, in d's buffers
-        blk.dh -= blk.bh
-        blk.dv -= blk.bv
-
     def rhs(blk):  # v + scale * grad^T (d - b)
         o = blk.delta
         _gradient_adjoint_rows(ws.dh, ws.dv, blk.rows, o)
@@ -456,13 +445,12 @@ def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace, basis: np.ndarr
         np.matmul(w, basis, out=o)
         np.subtract(o, src[classes], out=w)
 
-    def shrink(blk):  # b += grad out, shrunk into d
+    def shrink(blk):  # b += grad out, shrunk into d; d - b left in (dh, dv)
         _gradient_rows(ws.delta, blk.rows, blk.dh, blk.dv)
         blk.bh += blk.dh
         blk.bv += blk.dv
         _shrink_step(blk, thresh)
 
-    parallel.map_blocks(subtract, ws.blocks)
     parallel.map_blocks(rhs, ws.blocks)
     parallel.map_blocks(solve, ws.classes)
     denom = np.linalg.norm(src)

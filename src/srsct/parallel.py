@@ -1,6 +1,6 @@
-"""The cores of this process: how many, how many blocks a piece of work
-splits into, the thread pool that runs the blocks, and the OpenBLAS thread
-pin that a solve holds.
+"""The cores of this process: how many, how a piece of work splits into
+blocks, the thread pool that runs the blocks, and the OpenBLAS thread pin
+that a solve holds.
 
 numpy's OpenBLAS keeps worker threads that spin on the cores after each
 multi-threaded call. A solve pins it to one thread, so that the row blocks
@@ -65,6 +65,12 @@ def block_count(size: int, min_block: int) -> int:
     a product may use (`product_threads`), each of at least `min_block`
     units, and at least one."""
     return max(1, min(product_threads(), size // min_block))
+
+
+def spans(length: int, count: int) -> tuple:
+    """`count` consecutive, nearly equal, nonempty slices of range(length)."""
+    bounds = [length * i // count for i in range(count + 1)]
+    return tuple(slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]))
 
 
 @contextmanager

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import check_integer
+
 PIECEWISE_CLASSES = 8
 SMOOTH_MEANS = (0.16, 0.24, 0.565)
 
@@ -31,7 +33,7 @@ class Phantom:
 
 def check_grid_side(grid_side: int) -> int:
     """The grid side as an int; both phantoms need at least 16 pixels a side."""
-    n = int(grid_side)
+    n = check_integer(grid_side, "grid_side")
     if n < 16:
         raise ValueError(f"grid side {n} is below 16, the smallest phantom")
     return n

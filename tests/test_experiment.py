@@ -180,6 +180,23 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**setting)
 
+    @pytest.mark.parametrize("make,setting,name", [
+        (ExperimentConfig, dict(grid_side=16.5, detector_pixels=23, angles="15:15:180"),
+         "grid_side"),
+        (ExperimentConfig, dict(detector_pixels=22.5), "detector_pixels"),
+        (ExperimentConfig, dict(trials=1.5), "trials"),
+        (ExperimentConfig, dict(seed=0.5), "seed"),
+        (SolverConfig, dict(outer_max=2.5), "outer_max"),
+        (SolverConfig, dict(cgls_max=10.0), "cgls_max"),
+        (SolverConfig, dict(admm_max=np.float64(5.0)), "admm_max"),
+        (SolverConfig, dict(bregman_max=1.5), "bregman_max"),
+    ], ids=["grid-side", "detector-pixels", "trials", "seed", "outer-max", "cgls-max",
+            "admm-max", "bregman-max"])
+    def test_non_integral_setting_rejected_at_construction(self, make, setting, name):
+        # a float is not truncated into a smaller scan or a cap that fails the trial later
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make(**setting)
+
 
 class TestRunExperiment:
     def test_report_rows_and_aggregate(self, tmp_path):

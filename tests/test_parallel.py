@@ -23,6 +23,17 @@ class TestBlockCount:
         assert parallel.block_count(10 ** 9, 1) == 1
 
 
+class TestSpans:
+    @pytest.mark.parametrize("length,count", [(1, 1), (5, 1), (5, 2), (7, 3), (8, 8), (100, 7)])
+    def test_consecutive_nonempty_nearly_equal_slices(self, length, count):
+        slices = parallel.spans(length, count)
+        assert len(slices) == count
+        covered = [i for part in slices for i in range(length)[part]]
+        assert covered == list(range(length))
+        sizes = [part.stop - part.start for part in slices]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
 class TestMapBlocks:
     def test_results_in_block_order(self):
         assert parallel.map_blocks(lambda b: b * b, (1, 2, 3)) == [1, 4, 9]
