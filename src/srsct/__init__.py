@@ -3,7 +3,6 @@
 from .config import ClassPrior, ExperimentConfig, SolverConfig, parse_angles
 from .errors import DivergenceError
 from .geometry import (
-    Sinogram,
     SystemMatrix,
     add_noise,
     apply,
@@ -35,8 +34,8 @@ from .solver import (
 
 __all__ = [
     "ClassPrior", "ExperimentConfig", "SolverConfig", "parse_angles",
-    "Sinogram", "SystemMatrix", "add_noise", "apply",
-    "build_parallel_geometry", "export_triplets",
+    "SystemMatrix", "add_noise", "apply", "build_parallel_geometry",
+    "export_triplets",
     "image_gradient", "image_gradient_adjoint", "logsum_transform",
     "mixture_component", "normalize_to_simplex", "solve_reconstruction",
     "total_variation", "tv_prox", "update_coupling", "update_responsibilities",

@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
-Exit codes: 0 on full success, 1 on configuration errors, 2 when some
-trials failed but the run completed. A trial fails when it raises, or when
-its pool worker dies also on a rerun alone in a fresh pool; its traceback
-goes to stderr.
+Exit codes: 0 on full success, 1 on configuration errors (an output
+directory that cannot be made among them), 2 when some trials failed but
+the run completed. A trial fails when it raises, or when its pool worker
+dies also on a rerun alone in a fresh pool; its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import build_experiment_config, parse_config_file
-from .experiment import run_experiment, sweep_config, worker_count
+from .experiment import make_out_dir, run_experiment, sweep_config, worker_count
 
 
 class _CliError(Exception):
@@ -73,6 +73,8 @@ def main(argv=None) -> int:
             if not sides:
                 raise ValueError("--sides must list at least one grid side")
             configs = [sweep_config(cfg, side) for side in sides]
+        for c in configs:  # a bad --out fails before any trial
+            make_out_dir(c)
     except (_CliError, ValueError, OSError) as exc:
         print(f"srs: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .config import ClassPrior, ExperimentConfig, parse_angles
 from .geometry import add_noise, apply, build_parallel_geometry
 from .metrics import reconstruction_error, segmentation_error
@@ -44,8 +45,6 @@ class RunReport:
     trials: list[TrialResult]
     mean_rec_err: float
     mean_seg_err: float
-    std_rec_err: float
-    std_seg_err: float
     mean_seconds: float
     files: dict = field(default_factory=dict)
 
@@ -120,22 +119,32 @@ def worker_count() -> int:
         raise ValueError(f"SRS_THREADS must be an integer, got {value!r}") from None
 
 
+def make_out_dir(cfg: ExperimentConfig) -> None:
+    """Create cfg.out_dir, if set, with its parents. A path that cannot be a
+    directory raises OSError (FileExistsError, NotADirectoryError)."""
+    if cfg.out_dir is not None:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run all trials of one experiment and write the report artifacts.
 
     Trial seeds are base seed + trial index, so reports are reproducible
     (apart from wall-clock times) regardless of worker count. The worker
-    pool size comes from the SRS_THREADS environment variable; unset or <2
-    runs sequentially, and a value that is not an integer raises ValueError.
+    pool size comes from the SRS_THREADS environment variable, capped at the
+    trial count and at the cores this process may run on; below 2 the trials
+    run sequentially, and a value that is not an integer raises ValueError.
     Either way a trial that raises is marked failed and its traceback goes
     to stderr. A pool worker that dies breaks the whole pool; each trial it
     left unfinished runs again alone in a fresh one-worker pool, and fails
     the same way if that worker dies too.
     Output files (report.csv, x_final.pgm, labels.csv, energy_trace.csv for
-    the first trial) are written when out_dir is set.
+    the first trial) are written when out_dir is set; the directory is made
+    (`make_out_dir`) before any trial runs.
     """
     seeds = range(cfg.seed, cfg.seed + cfg.trials)
-    workers = min(worker_count(), cfg.trials)
+    workers = min(worker_count(), cfg.trials, parallel.cores())
+    make_out_dir(cfg)
 
     if workers > 1:
         # build the scan before the fork so the workers inherit it
@@ -150,19 +159,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         trials.append(trial)
 
     ok = [t for t in trials if t.status == "ok"]
-    if ok:
-        recs = np.array([t.rec_err for t in ok])
-        segs = np.array([t.seg_err for t in ok])
-        secs = np.array([t.seconds for t in ok])
-        aggregates = tuple(float(v) for v in (recs.mean(), segs.mean(),
-                                              recs.std(), segs.std(), secs.mean()))
-    else:
-        aggregates = (float("nan"),) * 5
-
-    report = RunReport(config=cfg, trials=trials,
-                       mean_rec_err=aggregates[0], mean_seg_err=aggregates[1],
-                       std_rec_err=aggregates[2], std_seg_err=aggregates[3],
-                       mean_seconds=aggregates[4])
+    means = [float(np.mean([getattr(t, name) for t in ok])) if ok else float("nan")
+             for name in ("rec_err", "seg_err", "seconds")]
+    report = RunReport(cfg, trials, *means)
     if cfg.out_dir is not None:
         _write_artifacts(report, first_result)
     return report
@@ -171,7 +170,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 def _write_artifacts(report: RunReport, first_result) -> None:
     cfg = report.config
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     report_path = out / "report.csv"
     with open(report_path, "w", encoding="ascii") as fh:

@@ -58,8 +58,7 @@ class SystemMatrix:
     access.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, detector_pixels: int = 0,
-                 angles_deg: tuple[float, ...] = ()):
+    def __init__(self, matrix: sp.csr_matrix):
         matrix = sp.csr_matrix(matrix)
         if not matrix.has_canonical_format:  # canonicalise a copy, not the caller's arrays
             matrix = matrix.copy()
@@ -68,8 +67,6 @@ class SystemMatrix:
         self._matrix_t = matrix.T.tocsr()
         self._blocks = _row_blocks(self._matrix)
         self._blocks_t = _row_blocks(self._matrix_t)
-        self.detector_pixels = int(detector_pixels)
-        self.angles_deg = tuple(float(a) for a in angles_deg)
 
     @property
     def m(self) -> int:
@@ -97,8 +94,7 @@ class SystemMatrix:
         return self._matrix.toarray()
 
     def __repr__(self) -> str:
-        return (f"SystemMatrix({self.m}x{self.n}, nnz={self._matrix.nnz}, "
-                f"p={self.detector_pixels}, angles={len(self.angles_deg)})")
+        return f"SystemMatrix({self.m}x{self.n}, nnz={self._matrix.nnz})"
 
 
 def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
@@ -124,18 +120,6 @@ def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
         block.indptr = indptr[start:stop + 1] - first
         blocks.append(block)
     return tuple(blocks)
-
-
-class Sinogram:
-    """Measured line integrals plus the noise settings that produced them."""
-
-    def __init__(self, values: np.ndarray, noise_level: float = 0.0, seed: int = 0):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.noise_level = check_noise_level(noise_level)
-        self.seed = int(seed)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def check_integer(value, name: str) -> int:
@@ -183,7 +167,7 @@ def build_parallel_geometry(grid_side: int, detector_pixels: int,
                                 parallel.spans(len(angles), count))
     matrix = sp.vstack(parts, format="csr")
     del parts  # free the blocks before the transposed copy
-    return SystemMatrix(matrix, detector_pixels=p, angles_deg=tuple(angles))
+    return SystemMatrix(matrix)
 
 
 def _trace_rows(n: int, p: int, angles: list[float]) -> sp.csr_matrix:
@@ -283,8 +267,9 @@ def check_noise_level(noise_level: float) -> float:
     return level
 
 
-def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> Sinogram:
-    """Corrupt a clean sinogram with Gaussian noise of prescribed relative size.
+def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> np.ndarray:
+    """The (m,) float64 sinogram b_clean corrupted by Gaussian noise of
+    prescribed relative size.
 
     A standard normal draw (PCG64 generator, fully determined by the seed) is
     rescaled so that ||noise||_2 = noise_level * ||b_clean||_2.
@@ -292,13 +277,12 @@ def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> Sinogram:
     b = np.asarray(b_clean, dtype=np.float64)
     eps = check_noise_level(noise_level)
     if eps == 0.0:
-        return Sinogram(b.copy(), 0.0, seed)
+        return b.copy()
     draw = np.random.default_rng(seed).standard_normal(b.shape[0])
     draw_norm = np.linalg.norm(draw)
     if draw_norm == 0.0:
-        return Sinogram(b.copy(), eps, seed)
-    noise = draw * (eps * np.linalg.norm(b) / draw_norm)
-    return Sinogram(b + noise, eps, seed)
+        return b.copy()
+    return b + draw * (eps * np.linalg.norm(b) / draw_norm)
 
 
 def export_triplets(system: SystemMatrix, path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from . import parallel
 from .config import ClassPrior, SolverConfig, VARIANTS
 from .errors import DivergenceError
-from .geometry import Sinogram, SystemMatrix, apply
+from .geometry import SystemMatrix, apply, check_integer
 from .kernels import (
     admm_workspace,
     image_gradient,
@@ -38,19 +38,21 @@ SIMPLEX_FLOOR = 1e-4  # score floor of the clamped simplex normalization
 
 @dataclass
 class SrsProblem:
-    """A reconstruction-and-segmentation instance: scanner, data and prior."""
+    """A reconstruction-and-segmentation instance: scanner, data and prior.
+    The sinogram is kept as a finite float64 array, one entry per system row."""
 
     system: SystemMatrix
-    sinogram: Sinogram
+    sinogram: np.ndarray
     prior: ClassPrior
     grid_side: int
 
     def __post_init__(self):
-        if self.system.n != self.grid_side ** 2:
+        if self.system.n != check_integer(self.grid_side, "grid_side") ** 2:
             raise ValueError("system columns do not match the pixel grid")
-        if len(self.sinogram) != self.system.m:
-            raise ValueError("sinogram length does not match system rows")
-        if not np.all(np.isfinite(self.sinogram.values)):
+        self.sinogram = np.asarray(self.sinogram, dtype=np.float64)
+        if self.sinogram.shape != (self.system.m,):
+            raise ValueError(f"sinogram shape {self.sinogram.shape} is not ({self.system.m},)")
+        if not np.all(np.isfinite(self.sinogram)):
             raise ValueError("sinogram values must be finite")
         if self.prior.n_classes < 2:
             raise ValueError("at least two classes are required")
@@ -199,7 +201,7 @@ def reconstruct_and_segment(problem: SrsProblem, cfg: SolverConfig,
     n = problem.grid_side
     n_pix = n * n
     k = problem.prior.n_classes
-    b = problem.sinogram.values
+    b = problem.sinogram
 
     x = np.zeros(n_pix)
     delta = np.full((n_pix, k), 1.0 / k)

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import srsct.experiment as exp
+from srsct import parallel
 from srsct.cli import main
 from srsct.config import (
     MAX_ANGLES,
@@ -53,6 +55,52 @@ def killed_at_seed_3(cfg, seed):
     if seed == 3:
         os.kill(os.getpid(), signal.SIGKILL)
     return REAL_RUN_TRIAL(cfg, seed)
+
+
+def no_trial(cfg, seed):
+    """run_trial for a run that must fail before any trial starts."""
+    pytest.fail(f"trial of seed {seed} ran")
+
+
+def fail_trial(monkeypatch, seed, error):
+    """Make the solve of the trial of this seed raise `error`. A trial draws
+    its noise (`add_noise`) just before its solve, in the same process, so
+    the seed of the last draw names the trial being solved."""
+    seeds = []
+    real_noise, real_solve = exp.add_noise, exp.reconstruct_and_segment
+
+    def noise(b_clean, noise_level, noise_seed):
+        seeds.append(noise_seed)
+        return real_noise(b_clean, noise_level, noise_seed)
+
+    def solve(problem, cfg, variant):
+        if seeds[-1] == seed:
+            raise error
+        return real_solve(problem, cfg, variant)
+
+    monkeypatch.setattr(exp, "add_noise", noise)
+    monkeypatch.setattr(exp, "reconstruct_and_segment", solve)
+
+
+class RecordingPool:
+    """ProcessPoolExecutor's stand-in: records each pool's size in `sizes`
+    and runs each submitted call at once in this process, so it starts no
+    process."""
+    sizes: list = []  # each test sets a list of its own
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def fast_config(**overrides):
@@ -250,6 +298,7 @@ class TestRunExperiment:
             strip_seconds(tmp_path / "b" / "report.csv")
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "cores", lambda: 2)  # a pool of two on any host
         cfg_seq = fast_config(out_dir=str(tmp_path / "seq"))
         monkeypatch.delenv("SRS_THREADS", raising=False)
         seq = run_experiment(cfg_seq)
@@ -273,18 +322,30 @@ class TestRunExperiment:
         report = run_experiment(fast_config(trials=1))
         assert report.files == {}
 
+    @pytest.mark.parametrize("threads, trials, cores, size", [
+        ("64", 64, 2, 2), ("8", 3, 16, 3), ("2", 5, 4, 2), ("4", 4, 1, None)],
+        ids=["cores", "trials", "threads", "one-core-sequential"])
+    def test_pool_capped_at_trials_and_cores(self, monkeypatch, threads, trials, cores, size):
+        monkeypatch.setenv("SRS_THREADS", threads)
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(exp, "run_trial", lambda cfg, seed: (
+            exp.TrialResult(seed, 0.1, 0.1, 0.0, 1), None))
+        report = run_experiment(fast_config(trials=trials))
+        assert RecordingPool.sizes == ([] if size is None else [size])
+        assert [t.seed for t in report.trials] == list(range(11, 11 + trials))
+
+    def test_unusable_out_dir_raises_before_any_trial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exp, "run_trial", no_trial)
+        (tmp_path / "file").write_text("")
+        with pytest.raises(NotADirectoryError):
+            run_experiment(fast_config(out_dir=str(tmp_path / "file" / "out")))
+
     def test_failed_trial_marked_and_run_continues(self, tmp_path, monkeypatch):
-        import srsct.experiment as exp
         from srsct.errors import DivergenceError
 
-        real = exp.reconstruct_and_segment
-
-        def flaky(problem, cfg, variant):
-            if problem.sinogram.seed == 11:
-                raise DivergenceError("forced failure")
-            return real(problem, cfg, variant)
-
-        monkeypatch.setattr(exp, "reconstruct_and_segment", flaky)
+        fail_trial(monkeypatch, 11, DivergenceError("forced failure"))
         report = run_experiment(fast_config(out_dir=str(tmp_path)))
         assert report.n_failed == 1
         statuses = [t.status for t in report.trials]
@@ -378,6 +439,17 @@ class TestCli:
     def test_bad_sides_exit_one(self, tmp_path):
         assert main(["sweep", "--sides", "", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command, regular_file, out", [
+        (["run"], "file", "file/out"), (["sweep", "--sides", "64,128"], "n128", ".")],
+        ids=["run-out-under-a-file", "sweep-point-is-a-file"])
+    def test_unusable_out_exit_one_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                    command, regular_file, out):
+        monkeypatch.setattr(exp, "run_trial", no_trial)
+        (tmp_path / regular_file).write_text("")
+        argv = command + ["--phantom", "smooth", "--trials", "1", "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("srs: configuration error: ")
+
     @pytest.mark.parametrize("args,cfg_line", [
         (["run", "--n", "8"], None),
         (["run", "--n", "1"], None),
@@ -425,15 +497,8 @@ class TestCli:
 
     def test_raising_trial_fails_with_traceback_and_exit_two(self, tmp_path, monkeypatch,
                                                               capsys):
-        real = exp.reconstruct_and_segment
-
-        def faulty(problem, cfg, variant):
-            if problem.sinogram.seed == 3:
-                raise RuntimeError("forced fault")
-            return real(problem, cfg, variant)
-
         monkeypatch.delenv("SRS_THREADS", raising=False)
-        monkeypatch.setattr(exp, "reconstruct_and_segment", faulty)
+        fail_trial(monkeypatch, 3, RuntimeError("forced fault"))
         assert main(self.FAULT_ARGV + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: forced fault" in err
@@ -443,6 +508,8 @@ class TestCli:
     def test_killed_pool_worker_fails_its_trial_and_exit_two(self, tmp_path, monkeypatch,
                                                              capsys):
         monkeypatch.setenv("SRS_THREADS", "2")
+        # a pool of two on any host: run sequentially, seed 3 would kill pytest
+        monkeypatch.setattr(parallel, "cores", lambda: 2)
         monkeypatch.setattr(exp, "run_trial", killed_at_seed_3)
         assert main(self.FAULT_ARGV + ["--out", str(tmp_path)]) == 2
         # seed 3's rerun alone dies too; seed 4's rerun, if the break cut it, is ok

@@ -444,6 +444,10 @@ class TestApply:
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(apply(A, v), [4.0, -8.0])
 
+    def test_repr_names_the_shape_and_nonzeros(self):
+        A = SystemMatrix(sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])))
+        assert repr(A) == "SystemMatrix(2x3, nnz=2)"
+
     def test_dimension_mismatch(self):
         A = build_parallel_geometry(8, 11, [30.0])
         with pytest.raises(ValueError):
@@ -456,26 +460,31 @@ class TestAddNoise:
     def test_zero_level_is_exact(self):
         b = np.array([1.0, -2.0, 3.0])
         out = add_noise(b, 0.0, 123)
-        np.testing.assert_array_equal(out.values, b)
+        np.testing.assert_array_equal(out, b)
 
     def test_relative_norm_matches_level(self):
         rng = np.random.default_rng(8)
         b = rng.standard_normal(500) + 5.0
         out = add_noise(b, 0.05, 99)
-        ratio = np.linalg.norm(out.values - b) / np.linalg.norm(b)
+        ratio = np.linalg.norm(out - b) / np.linalg.norm(b)
         assert ratio == pytest.approx(0.05, abs=1e-12)
 
     def test_seed_determinism(self):
         b = np.linspace(0.0, 4.0, 50)
-        a1 = add_noise(b, 0.02, 7).values
-        a2 = add_noise(b, 0.02, 7).values
-        a3 = add_noise(b, 0.02, 8).values
+        a1 = add_noise(b, 0.02, 7)
+        a2 = add_noise(b, 0.02, 7)
+        a3 = add_noise(b, 0.02, 8)
         np.testing.assert_array_equal(a1, a2)
         assert not np.array_equal(a1, a3)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.ones(3), -0.1, 0)
+
+    def test_returns_a_float64_vector(self):
+        out = add_noise([1, 2, 3], 0.1, 0)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (3,)
 
 
 def test_triplet_export_round_trip(tmp_path):

@@ -13,7 +13,6 @@ import scipy.sparse as sp
 from srsct import (
     ClassPrior,
     DivergenceError,
-    Sinogram,
     SolverConfig,
     SrsProblem,
     SystemMatrix,
@@ -457,7 +456,7 @@ class TestReconstructAndSegment:
         n = 16
         ph = make_piecewise_phantom(n)
         system = build_parallel_geometry(n, 23, [45.0, 90.0, 135.0, 180.0])
-        bad = Sinogram(np.full(system.m, 1e300))
+        bad = np.full(system.m, 1e300)
         prior = ClassPrior(ph.class_means, np.full(8, 0.1))
         problem = SrsProblem(system, bad, prior, n)
         with pytest.raises(DivergenceError) as err:
@@ -516,12 +515,18 @@ class TestReconstructAndSegment:
         system = build_parallel_geometry(n, 23, [90.0])
         prior = ClassPrior(ph.class_means, np.full(8, 0.1))
         with pytest.raises(ValueError):
-            SrsProblem(system, Sinogram(np.zeros(system.m + 1)), prior, n)
+            SrsProblem(system, np.zeros(system.m + 1), prior, n)
         with pytest.raises(ValueError):
-            SrsProblem(system, Sinogram(np.zeros(system.m)), prior, n + 1)
+            SrsProblem(system, np.zeros(system.m), prior, n + 1)
         single = ClassPrior(np.array([0.5]), np.array([0.1]))
         with pytest.raises(ValueError):
-            SrsProblem(system, Sinogram(np.zeros(system.m)), single, n)
+            SrsProblem(system, np.zeros(system.m), single, n)
+        # a float grid side fails here, not later in the solve
+        with pytest.raises(ValueError, match="grid_side must be an integer"):
+            SrsProblem(system, np.zeros(system.m), prior, float(n))
+        # an (m, 1) column fails here, not later in the CGLS
+        with pytest.raises(ValueError, match="sinogram shape"):
+            SrsProblem(system, np.zeros((system.m, 1)), prior, n)
 
     def test_non_finite_sinogram_rejected(self):
         n = 16
@@ -532,14 +537,22 @@ class TestReconstructAndSegment:
             values = np.zeros(system.m)
             values[3] = bad
             with pytest.raises(ValueError, match="finite"):
-                SrsProblem(system, Sinogram(values), prior, n)
+                SrsProblem(system, values, prior, n)
+
+    def test_list_sinogram_stored_as_float64_vector(self):
+        system = build_parallel_geometry(16, 23, [90.0])
+        prior = ClassPrior([0.2, 0.8], [0.1, 0.1])
+        problem = SrsProblem(system, list(range(system.m)), prior, 16)
+        assert problem.sinogram.dtype == np.float64
+        assert problem.sinogram.shape == (system.m,)
+        np.testing.assert_array_equal(problem.sinogram, np.arange(system.m))
 
 
 def small_problem(divergent=False):
     n = 16
     ph = make_piecewise_phantom(n)
     system = build_parallel_geometry(n, 23, [45.0, 90.0, 135.0, 180.0])
-    sino = (Sinogram(np.full(system.m, 1e300)) if divergent
+    sino = (np.full(system.m, 1e300) if divergent
             else add_noise(apply(system, ph.image), 0.0, 0))
     return SrsProblem(system, sino, ClassPrior(ph.class_means, np.full(8, 0.1)), n)
 
