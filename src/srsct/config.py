@@ -51,8 +51,7 @@ class SolverConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("outer_max", "cgls_max", "admm_max", "bregman_max"):
-            if check_integer(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_integer(getattr(self, name), name, minimum=1)
 
 
 @dataclass
@@ -96,9 +95,10 @@ _SMOOTH_DEFAULTS = dict(
 class ExperimentConfig:
     """One experiment: phantom, scan geometry, noise, trials and solver knobs.
 
-    Valid by construction: a bad phantom, variant, trial count, seed, grid
-    side, scan, noise level or prior sigma, or a float where an integer
-    belongs, raises ValueError here, before any trial exists.
+    Valid by construction: a bad phantom, variant, trial count, seed (a
+    negative one among them), grid side, scan, noise level or prior sigma,
+    or a float where an integer belongs, raises ValueError here, before any
+    trial exists.
     """
 
     phantom: str = "piecewise"
@@ -119,9 +119,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown phantom kind {self.phantom!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if check_integer(self.trials, "trials") < 1:
-            raise ValueError("trial count must be at least 1")
-        check_integer(self.seed, "seed")
+        check_integer(self.trials, "trials", minimum=1)
+        check_integer(self.seed, "seed", minimum=0)
         check_grid_side(self.grid_side)
         check_scan(self.grid_side, self.detector_pixels, parse_angles(self.angles))
         check_noise_level(self.noise_level)

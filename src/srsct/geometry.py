@@ -122,21 +122,22 @@ def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
     return tuple(blocks)
 
 
-def check_integer(value, name: str) -> int:
-    """`value` as an int; a non-integer, a float too, raises ValueError naming it."""
+def check_integer(value, name: str, minimum: int | None = None) -> int:
+    """`value` as an int; a non-integer (a float too) or one below `minimum` raises ValueError."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def check_scan(grid_side: int, detector_pixels: int, angles_deg):
     """Validate a parallel-beam scan; returns it as (n, p, list of angles)."""
-    n = check_integer(grid_side, "grid_side")
+    n = check_integer(grid_side, "grid_side", minimum=2)
     p = check_integer(detector_pixels, "detector_pixels")
     angles = [float(a) for a in np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))]
-    if n < 2:
-        raise ValueError("grid side must be at least 2")
     if p < 1:
         raise ValueError("detector needs at least one pixel")
     if not angles:
@@ -196,13 +197,13 @@ def _trace_rows(n: int, p: int, angles: list[float]) -> sp.csr_matrix:
         ox = offsets * ex
         oy = offsets * ey
 
-        # grid-line crossings and slab entry/exit along each axis
+        # grid-line crossings along each axis; the first and last bound the
+        # slab, as grid_lines[0] is exactly -half and grid_lines[n] exactly half
         params, lo, hi = [], [], []
         for o, d in ((ox, dx), (oy, dy)):
             if d != 0.0:
                 params.append((grid_lines[None, :] - o[:, None]) / d)
-                t1 = (-half - o) / d
-                t2 = (half - o) / d
+                t1, t2 = params[-1][:, 0], params[-1][:, -1]
                 lo.append(np.minimum(t1, t2))
                 hi.append(np.maximum(t1, t2))
             else:
@@ -272,9 +273,13 @@ def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> np.ndarray:
     prescribed relative size.
 
     A standard normal draw (PCG64 generator, fully determined by the seed) is
-    rescaled so that ||noise||_2 = noise_level * ||b_clean||_2.
+    rescaled so that ||noise||_2 = noise_level * ||b_clean||_2. A b_clean
+    that is not 1-D, or a seed that is not a nonnegative int, raises ValueError.
     """
     b = np.asarray(b_clean, dtype=np.float64)
+    if b.ndim != 1:
+        raise ValueError(f"b_clean must be a 1-D sinogram, got shape {b.shape}")
+    seed = check_integer(seed, "seed", minimum=0)
     eps = check_noise_level(noise_level)
     if eps == 0.0:
         return b.copy()

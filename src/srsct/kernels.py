@@ -179,8 +179,7 @@ def _coupling_fields(resp: np.ndarray, g1: float, g2: float) -> dict:
         raise ValueError("split penalties must be positive")
     return {"four_phi_g": 4.0 * resp * (g1 + g2), "two_phi": 2.0 * resp,
             "lin": np.empty_like(resp), "disc": np.empty_like(resp),
-            "conj_mask": np.empty(resp.shape, dtype=bool),
-            "pos_mask": np.empty(resp.shape, dtype=bool)}
+            "conj_mask": np.empty(resp.shape, dtype=bool)}
 
 
 def _coupling_rows(blk: SimpleNamespace, memberships, simplex_field, mult_tv, mult_simplex,
@@ -195,14 +194,12 @@ def _coupling_rows(blk: SimpleNamespace, memberships, simplex_field, mult_tv, mu
     np.multiply(c, c, out=disc)
     disc += blk.four_phi_g
     np.sqrt(disc, out=disc)
-    # the root for c > 0 everywhere, then the conjugate form where c <= 0
-    # and its denominator disc - c is positive
+    # the direct root everywhere, then the conjugate form where c < 0,
+    # whose denominator disc - c >= 2|c| is positive
     np.add(c, disc, out=out)
     out /= 2.0 * (g1 + g2)
     np.subtract(disc, c, out=disc)
-    np.less_equal(c, 0.0, out=blk.conj_mask)
-    np.greater(disc, 0.0, out=blk.pos_mask)
-    np.logical_and(blk.conj_mask, blk.pos_mask, out=blk.conj_mask)
+    np.less(c, 0.0, out=blk.conj_mask)
     np.divide(blk.two_phi, disc, out=out, where=blk.conj_mask)
 
 
@@ -215,9 +212,10 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
     field: the unique eta > 0 with
     -resp/eta + g1*(eta - memb) - mult_tv + g2*(eta - simp) + mult_simplex = 0.
 
-    Uses the conjugate form of the quadratic formula when the linear part is
-    not positive to avoid cancellation; an entry whose conjugate denominator
-    is zero (zero responsibility and zero linear part) comes out 0.
+    Where the linear part c = g1*memb + mult_tv + g2*simp - mult_simplex is
+    negative, the conjugate form of the quadratic formula avoids the
+    cancellation; its denominator is then at least 2|c| > 0. Elsewhere the
+    direct root has none, and gives 0 for zero responsibility and c = 0.
 
     With `work`, the membership ADMM's workspace formed from these
     responsibilities and penalties, the fields are its class-major arrays,
@@ -489,8 +487,8 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     the workspace in place and allocates no field. The returned field is
     `delta`, which the next call overwrites; the iterate the call started
     from is kept unchanged in `delta_prev`, so a caller may still compare
-    the two. A constant input is its own prox: it becomes `delta`, with
-    (d, b) zero.
+    the two. A constant input, or a zero weight, is its own prox: `delta`, with
+    (d, b) zero, in 0 passes; a negative or NaN weight raises ValueError.
     """
     n = int(grid_side)
     if state is None or np.shape(field) != state.grid:
@@ -504,14 +502,14 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         return _pixel_major(out, shape), info
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
-    if not thresh > 0.0:  # also rejects a NaN weight
-        raise ValueError("weight must be positive")
+    if not thresh >= 0.0:  # also rejects a NaN weight
+        raise ValueError("weight must be nonnegative")
     lo, hi = field.min(), field.max()  # both propagate NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("input must be finite")
     state.swap("delta", "delta_prev")
     src, passes = state.delta_prev, cfg.bregman_max
-    if lo == hi:  # constant input: TV is zero, the field is the exact prox
+    if lo == hi or thresh == 0.0:  # TV or its weight is zero: the field is the exact prox
         np.copyto(state.delta, field)
         for part in (state.dh, state.dv, state.bh, state.bv):
             part.fill(0.0)

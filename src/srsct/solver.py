@@ -21,6 +21,7 @@ from .config import ClassPrior, SolverConfig, VARIANTS
 from .errors import DivergenceError
 from .geometry import SystemMatrix, apply, check_integer
 from .kernels import (
+    _pixel_major,
     admm_workspace,
     image_gradient,
     normalize_to_simplex,
@@ -90,7 +91,7 @@ def marginal_energy(x: np.ndarray, memberships: np.ndarray, prior: ClassPrior,
     log_f = _log_components(x, memberships, prior)
     shift = log_f.max(axis=1, keepdims=True)
     log_mix = shift[:, 0] + np.log(np.exp(log_f - shift).sum(axis=1))
-    tv = total_variation(memberships.reshape(n, n, -1)) if tv_weight != 0.0 else 0.0
+    tv = total_variation(memberships.reshape(n, n, -1))
     return float(data_weight * resid @ resid + tv_weight * tv - log_mix.sum())
 
 
@@ -106,8 +107,7 @@ def joint_energy(x: np.ndarray, memberships: np.ndarray, responsibilities: np.nd
     if cfg.tikhonov_weight != 0.0:
         gh, gv = image_gradient(x.reshape(n, n))
         value += cfg.tikhonov_weight * float((gh * gh + gv * gv).sum())
-    if cfg.tv_weight != 0.0:
-        value += cfg.tv_weight * total_variation(memberships.reshape(n, n, -1))
+    value += cfg.tv_weight * total_variation(memberships.reshape(n, n, -1))
     log_f = _log_components(x, memberships, prior)
     phi = responsibilities
     entropy_like = np.where(phi > 0.0, phi * np.log(np.where(phi > 0.0, phi, 1.0)), 0.0)
@@ -121,8 +121,9 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     """ADMM for the membership subproblem at fixed responsibilities.
 
     The field is split three ways: a TV block solved column-wise by the
-    split-Bregman proximal, a coupling block with a closed-form positive
-    root, and a simplex block handled by clamped normalization. Multipliers
+    split-Bregman proximal (its target itself, in 0 passes, at a zero TV
+    weight), a coupling block with a closed-form positive root, and a
+    simplex block handled by clamped normalization. Multipliers
     start at zero; the TV and simplex blocks warm start from the previous
     membership field. Stops on the relative change of the TV block or after
     admm_max iterations, and returns the simplex block, which is strictly
@@ -130,8 +131,9 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     once an iterate is no longer finite.
 
     Every field lives in one `admm_workspace`, class-major and allocated
-    once per call, and is updated in place by every iteration; the
-    returned field is its `psi`, transposed back to (N, K).
+    once per call, and is updated in place by every iteration; only the
+    kernels move its buffers. The result is a copy of its `psi`, viewed
+    back to (N, K) by `_pixel_major`.
     """
     phi = np.asarray(responsibilities, dtype=np.float64)
     if phi.ndim != 2 or np.any(phi < 0.0):
@@ -149,13 +151,9 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
             if not math.isfinite(ws.target.sum()):
                 raise DivergenceError(f"membership ADMM produced non-finite values "
                                       f"at iteration {iterations}")
-            # either way the previous TV block moves into delta_prev
-            if cfg.tv_weight > 0.0:
-                tv_info = tv_prox(ws.target, cfg.tv_weight / g1, grid_side, cfg, state=ws)[1]
-                bregman_total += tv_info["iterations"]
-            else:  # the TV block is its target, whose buffer delta takes
-                ws.swap("delta", "delta_prev")
-                ws.swap("delta", "target")
+            # the previous TV block moves into delta_prev
+            tv_info = tv_prox(ws.target, cfg.tv_weight / g1, grid_side, cfg, state=ws)[1]
+            bregman_total += tv_info["iterations"]
             # the TV block's relative change; from here `target` is free
             # and serves as scratch
             denom = np.linalg.norm(ws.delta_prev)
@@ -173,9 +171,8 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     if not np.all(np.isfinite(ws.psi)):
         raise DivergenceError(f"membership ADMM produced non-finite values "
                               f"at iteration {iterations}")
-    psi = ws.psi.reshape(len(ws.psi), -1).T.copy()
-    return psi, {"iterations": iterations, "rel_change": float(rel),
-                 "bregman_iterations": bregman_total}
+    return _pixel_major(ws.psi, phi.shape).copy(), {
+        "iterations": iterations, "rel_change": float(rel), "bregman_iterations": bregman_total}
 
 
 @parallel.one_blas_thread()

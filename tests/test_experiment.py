@@ -220,9 +220,10 @@ class TestConfigFile:
         (dict(noise_level=float("nan")), "noise level must be finite and nonnegative"),
         (dict(prior_sigma=0.0), "standard deviations must be positive"),
         (dict(prior_sigma=float("nan")), "must be finite"),
+        (dict(seed=-1), "seed must be at least 0, got -1"),
     ], ids=["n8", "n1", "zero-detector-pixels", "zero-angle", "infinite-angle-stop",
             "too-many-angles", "negative-noise", "nan-noise", "zero-prior-sigma",
-            "nan-prior-sigma"])
+            "nan-prior-sigma", "negative-seed"])
     def test_bad_scan_setting_rejected_at_construction(self, setting, message):
         # the rules the CLI applies: no config, hence no trial, exists
         with pytest.raises(ValueError, match=message):
@@ -466,10 +467,11 @@ class TestCli:
         (["run", "--n", "16"], "prior_sigma = nan"),
         (["run", "--n", "16"], "pgm_binary = ture"),
         (["run", "--n", "16"], f"angles = {OVERSIZE_ANGLES}"),
+        (["run", "--n", "16", "--seed", "-1"], None),
     ], ids=["n8", "n1", "negative-noise", "sweep-side-100", "zero-detector-pixels",
             "zero-angle", "zero-prior-sigma", "infinite-angle-stop", "nan-tv-weight",
             "nan-outer-tol", "infinite-data-weight", "nan-noise", "nan-prior-sigma",
-            "misspelled-bool", "too-many-angles"])
+            "misspelled-bool", "too-many-angles", "negative-seed"])
     def test_bad_scan_settings_exit_one_before_any_trial(self, tmp_path, args, cfg_line):
         out = tmp_path / "out"
         argv = args + ["--trials", "1", "--out", str(out)]

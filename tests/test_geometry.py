@@ -481,6 +481,20 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.ones(3), -0.1, 0)
 
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be at least 0, got -1"), (1.5, "seed must be an integer"),
+        (np.float64(2.0), "seed must be an integer")], ids=["negative", "float", "np-float"])
+    def test_bad_seed_rejected_at_any_level(self, level, seed, message):
+        with pytest.raises(ValueError, match=message):
+            add_noise(np.ones(3), level, seed)
+
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_rejects_a_sinogram_that_is_not_1d(self, level):
+        # a 2-D one used to get one draw broadcast along every row
+        with pytest.raises(ValueError, match=r"b_clean must be a 1-D sinogram, got shape \(4, 4\)"):
+            add_noise(np.ones((4, 4)), level, 1)
+
     def test_returns_a_float64_vector(self):
         out = add_noise([1, 2, 3], 0.1, 0)
         assert isinstance(out, np.ndarray)

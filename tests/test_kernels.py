@@ -144,11 +144,13 @@ class TestUpdateCoupling:
         assert eta[0, 0] == pytest.approx(c / 2.0, rel=1e-14)
 
     def test_zero_responsibility_without_positive_linear_part_is_zero(self):
-        # linear parts -0.3 and exactly 0: the conjugate denominators are 0.6
-        # and 0, and both entries come out 0 without a warning
-        eta = update_coupling(np.zeros((1, 2)), np.zeros((1, 2)), np.array([[-0.3, 0.0]]),
-                              np.zeros((1, 2)), np.zeros((1, 2)), 1.0, 2.0)
-        assert np.array_equal(eta, [[0.0, 0.0]])
+        # linear parts -0.3, 0 and 0 with responsibilities 0, 0 and 0.75: the
+        # first takes the conjugate form, with denominator 0.6; the others
+        # the direct root, which is 0 for zero responsibility and
+        # sqrt(resp / (g1 + g2)) for a positive one; no warning on the way
+        eta = update_coupling(np.zeros((1, 3)), np.zeros((1, 3)), np.array([[-0.3, 0.0, 0.0]]),
+                              np.zeros((1, 3)), np.array([[0.0, 0.0, 0.75]]), 1.0, 2.0)
+        assert np.array_equal(eta, [[0.0, 0.0, np.sqrt(0.75 / (1.0 + 2.0))]])
 
     def test_unit_case_frozen(self):
         eta = update_coupling(np.array([[0.5]]), np.array([[0.5]]),
@@ -556,9 +558,23 @@ class TestTvProx:
         out_warm, _ = tv_prox(v, 0.4, 8, cfg, state=info["state"])
         np.testing.assert_allclose(out_warm, out_cold, atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(64,), (64, 3)])
+    def test_zero_weight_returns_input_exactly(self, shape):
+        # the prox of 0 * TV is the identity: the input itself, in 0 passes,
+        # from a cold call and from a warm state alike, with (d, b) zero
+        rng = np.random.default_rng(15)
+        v = rng.standard_normal(shape)
+        out, info = tv_prox(v, 0.0, 8, SolverConfig())
+        assert info["iterations"] == 0 and out.tobytes() == v.tobytes()
+        _, warm = tv_prox(v + 1.0, 0.4, 8, SolverConfig())
+        out, info = tv_prox(v, 0.0, 8, SolverConfig(), state=warm["state"])
+        assert info["iterations"] == 0 and out.tobytes() == v.tobytes()
+        assert not any(part.any() for part in state_arrays(info["state"])[1:])
+
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            tv_prox(np.ones(16), 0.0, 4, SolverConfig())
+        for weight in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="weight must be nonnegative"):
+                tv_prox(np.ones(16), weight, 4, SolverConfig())
         with pytest.raises(ValueError):
             tv_prox(np.full(16, np.inf), 1.0, 4, SolverConfig())
 

@@ -169,6 +169,25 @@ class TestMembershipSubproblemInPlace:
             # some calls ran more than one Bregman pass
             assert info["bregman_iterations"] > info["iterations"]
 
+    def test_zero_tv_weight_prox_returns_each_target(self, monkeypatch):
+        # at a zero TV weight the ADMM still calls tv_prox, with weight 0,
+        # and each call returns its target bit for bit in 0 passes
+        calls = []
+
+        def recording_tv_prox(field, weight, grid_side, cfg, state=None):
+            before = field.copy()
+            out, info = tv_prox(field, weight, grid_side, cfg, state=state)
+            calls.append((weight, before.tobytes(), out.tobytes(), info["iterations"]))
+            return out, info
+
+        monkeypatch.setattr(solver, "tv_prox", recording_tv_prox)
+        rng = np.random.default_rng(23)
+        resp, init = (rng.dirichlet(np.ones(3), size=64) for _ in range(2))
+        _, info = solve_membership_subproblem(resp, init, SolverConfig(tv_weight=0.0), 8)
+        assert len(calls) == info["iterations"] > 1
+        assert all(weight == 0.0 and before == out and passes == 0
+                   for weight, before, out, passes in calls)
+
     def test_overflowing_responsibility_raises_divergence(self):
         # 1e308 is finite and passes the input check, but 4 * resp * (g1 + g2)
         # overflows in the coupling update; the ADMM must report that as a
@@ -281,7 +300,7 @@ def test_class_major_layout_agrees_with_the_pixel_major_formulas(n, k, seed):
 class TestSplitAdmm:
     """The ADMM with its kernels cut into row blocks equals its one-block run."""
 
-    # tv_weight 0 takes the swap path in place of the TV prox
+    # tv_weight 0 takes tv_prox's zero-weight path: the target, in 0 passes
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("n", [7, 33])
     @pytest.mark.parametrize("k,tv_weight", [(1, 0.5), (3, 0.5), (8, 0.5),
