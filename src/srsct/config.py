@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import check_integer, check_noise_level, check_scan
-from .phantoms import check_grid_side
+from .geometry import check_integer, check_real, check_scan
+from .phantoms import MIN_GRID_SIDE
 
 
 @dataclass
@@ -21,6 +20,9 @@ class SolverConfig:
     to zero). `tv_split_penalty` and `simplex_split_penalty` are the two
     quadratic penalties of the membership ADMM. All stopping rules are
     relative-change tests in the Frobenius norm over the full iterate.
+    Each cap is an integer of at least 1 (`check_integer`), every other
+    field a finite real number (`check_real`), positive bar the two
+    smoothing weights, which may be 0; anything else raises ValueError.
     """
 
     data_weight: float = 1.0
@@ -39,19 +41,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.data_weight <= 0:
-            raise ValueError("data_weight must be positive")
-        for name in ("tv_weight", "tikhonov_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("tv_split_penalty", "simplex_split_penalty",
-                     "outer_tol", "cgls_tol", "admm_tol", "bregman_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("outer_max", "cgls_max", "admm_max", "bregman_max"):
-            check_integer(getattr(self, name), name, minimum=1)
+            value = getattr(self, f.name)
+            if f.type == "int":  # a string, as annotations are postponed
+                check_integer(value, f.name, minimum=1)
+            else:
+                check_real(value, f.name, positive=f.name not in ("tv_weight", "tikhonov_weight"))
 
 
 @dataclass
@@ -97,8 +91,9 @@ class ExperimentConfig:
 
     Valid by construction: a bad phantom, variant, trial count, seed (a
     negative one among them), grid side, scan, noise level or prior sigma,
-    or a float where an integer belongs, raises ValueError here, before any
-    trial exists.
+    a float where an integer belongs (`check_integer`), or a bool, string,
+    NaN or infinity where a real number belongs (`check_real`), raises
+    ValueError here, before any trial exists.
     """
 
     phantom: str = "piecewise"
@@ -121,10 +116,10 @@ class ExperimentConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         check_integer(self.trials, "trials", minimum=1)
         check_integer(self.seed, "seed", minimum=0)
-        check_grid_side(self.grid_side)
+        check_integer(self.grid_side, "grid_side", minimum=MIN_GRID_SIDE)
         check_scan(self.grid_side, self.detector_pixels, parse_angles(self.angles))
-        check_noise_level(self.noise_level)
-        ClassPrior([0.0], [self.prior_sigma])  # a positive, finite prior sigma
+        check_real(self.noise_level, "noise_level")
+        check_real(self.prior_sigma, "prior_sigma", positive=True)
 
 
 # Most angles a scan may have: one per 0.05 degrees over 180, 15 times the
@@ -142,8 +137,7 @@ def parse_angles(spec: str) -> list[float]:
     start, step, stop = (float(x) for x in parts)
     if not np.all(np.isfinite((start, step, stop))):
         raise ValueError(f"angle spec {spec!r} must be finite")
-    if step <= 0:
-        raise ValueError("angle step must be positive")
+    check_real(step, "angle step", positive=True)
     count = np.floor((stop - start) / step + 1e-9) + 1  # a float, inf for a tiny step
     if count < 1:
         raise ValueError(f"angle spec {spec!r} yields no angles")

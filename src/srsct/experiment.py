@@ -6,7 +6,7 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -46,7 +46,6 @@ class RunReport:
     mean_rec_err: float
     mean_seg_err: float
     mean_seconds: float
-    files: dict = field(default_factory=dict)
 
     @property
     def n_failed(self) -> int:
@@ -171,33 +170,24 @@ def _write_artifacts(report: RunReport, first_result) -> None:
     cfg = report.config
     out = Path(cfg.out_dir)
 
-    report_path = out / "report.csv"
-    with open(report_path, "w", encoding="ascii") as fh:
+    with open(out / "report.csv", "w", encoding="ascii") as fh:
         fh.write(REPORT_HEADER + "\n")
         for t in report.trials:
             fh.write(f"{t.seed},{t.rec_err!r},{t.seg_err!r},{t.seconds:.3f},"
                      f"{t.outer_iters},{t.status}\n")
         fh.write(f"mean,{report.mean_rec_err!r},{report.mean_seg_err!r},"
                  f"{report.mean_seconds:.3f},,\n")
-    report.files["report"] = str(report_path)
 
     if first_result is not None:
         side = cfg.grid_side
-        pgm_path = out / "x_final.pgm"
-        write_pgm(pgm_path, first_result.x.reshape(side, side), binary=cfg.pgm_binary)
-        report.files["image"] = str(pgm_path)
-
-        labels_path = out / "labels.csv"
-        write_labels_csv(labels_path, first_result.labels.reshape(side, side))
-        report.files["labels"] = str(labels_path)
-
-        trace_path = out / "energy_trace.csv"
-        with open(trace_path, "w", encoding="ascii") as fh:
+        write_pgm(out / "x_final.pgm", first_result.x.reshape(side, side),
+                  binary=cfg.pgm_binary)
+        write_labels_csv(out / "labels.csv", first_result.labels.reshape(side, side))
+        with open(out / "energy_trace.csv", "w", encoding="ascii") as fh:
             fh.write("iter,E0,F,rel_change_x\n")
             for i, ((e0, f_val), rel) in enumerate(
                     zip(first_result.energy_trace, first_result.rel_changes), 1):
                 fh.write(f"{i},{e0!r},{f_val!r},{rel!r}\n")
-        report.files["energy_trace"] = str(trace_path)
 
 
 def sweep_config(base: ExperimentConfig, grid_side: int) -> ExperimentConfig:

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -123,7 +124,8 @@ def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
 
 
 def check_integer(value, name: str, minimum: int | None = None) -> int:
-    """`value` as an int; a non-integer (a float too) or one below `minimum` raises ValueError."""
+    """`value` as an int. A non-integer (a float, a string or None among
+    them) or one below `minimum` raises ValueError naming `name` and the value."""
     try:
         value = operator.index(value)
     except TypeError:
@@ -133,13 +135,23 @@ def check_integer(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def check_real(value, name: str, positive: bool = False) -> float:
+    """`value` as a float: a real number, finite and at least 0, or above 0
+    if `positive`. A bool, a string, None, a NaN, an infinity or a value
+    below the bound raises ValueError naming `name` and the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "greater than" if positive else "at least"
+        raise ValueError(f"{name} must be finite and {bound} 0, got {value}")
+    return float(value)
+
+
 def check_scan(grid_side: int, detector_pixels: int, angles_deg):
     """Validate a parallel-beam scan; returns it as (n, p, list of angles)."""
     n = check_integer(grid_side, "grid_side", minimum=2)
-    p = check_integer(detector_pixels, "detector_pixels")
+    p = check_integer(detector_pixels, "detector_pixels", minimum=1)
     angles = [float(a) for a in np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))]
-    if p < 1:
-        raise ValueError("detector needs at least one pixel")
     if not angles:
         raise ValueError("at least one projection angle is required")
     for a in angles:
@@ -259,28 +271,20 @@ def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) ->
     return np.concatenate(parallel.map_blocks(lambda block: block @ v, blocks))
 
 
-def check_noise_level(noise_level: float) -> float:
-    """The relative noise level as a float; a negative or non-finite level
-    is rejected."""
-    level = float(noise_level)
-    if not (math.isfinite(level) and level >= 0):
-        raise ValueError("noise level must be finite and nonnegative")
-    return level
-
-
 def add_noise(b_clean: np.ndarray, noise_level: float, seed: int) -> np.ndarray:
     """The (m,) float64 sinogram b_clean corrupted by Gaussian noise of
     prescribed relative size.
 
     A standard normal draw (PCG64 generator, fully determined by the seed) is
     rescaled so that ||noise||_2 = noise_level * ||b_clean||_2. A b_clean
-    that is not 1-D, or a seed that is not a nonnegative int, raises ValueError.
+    that is not 1-D, a seed that is not a nonnegative int, or a noise level
+    that `check_real` rejects raises ValueError.
     """
     b = np.asarray(b_clean, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError(f"b_clean must be a 1-D sinogram, got shape {b.shape}")
     seed = check_integer(seed, "seed", minimum=0)
-    eps = check_noise_level(noise_level)
+    eps = check_real(noise_level, "noise_level")
     if eps == 0.0:
         return b.copy()
     draw = np.random.default_rng(seed).standard_normal(b.shape[0])

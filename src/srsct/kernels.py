@@ -38,7 +38,7 @@ import numpy as np
 from . import parallel
 from .config import ClassPrior, SolverConfig
 from .errors import DivergenceError
-from .geometry import SystemMatrix, apply
+from .geometry import SystemMatrix, apply, check_integer, check_real
 
 _TINY = np.finfo(np.float64).tiny  # smallest positive normal double
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -121,11 +121,11 @@ def _pixel_major(field: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def mixture_component(x: float, weight: float, mean: float, std: float) -> float:
-    """Weighted Gaussian density value, floored at the smallest normal double."""
-    if weight <= 0.0:
-        raise ValueError("component weight must be positive")
-    if std <= 0.0:
-        raise ValueError("standard deviation must be positive")
+    """Weighted Gaussian density value, floored at the smallest normal double.
+    A weight or std that is not a finite positive real (`check_real`) raises
+    ValueError."""
+    weight = check_real(weight, "weight", positive=True)
+    std = check_real(std, "std", positive=True)
     z = (x - mean) / std
     value = weight / (_SQRT_2PI * std) * math.exp(-0.5 * z * z)
     return max(value, _TINY)
@@ -143,12 +143,13 @@ def logsum_transform(values: np.ndarray) -> tuple[float, np.ndarray]:
 
     The normalized weights are the minimizer of
     sum_k(-w_k log v_k + w_k log w_k) over the open simplex, and the minimum
-    value equals -log(sum_k v_k).
+    value equals -log(sum_k v_k). An input that is not a nonempty 1-D array,
+    or that holds a zero, a negative entry or a NaN, raises ValueError.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D array")
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):  # also rejects a NaN
         raise ValueError("all inputs must be strictly positive")
     total = v.sum()
     return float(-np.log(total)), v / total
@@ -174,10 +175,11 @@ def update_responsibilities(x: np.ndarray, memberships: np.ndarray,
 def _coupling_fields(resp: np.ndarray, g1: float, g2: float) -> dict:
     """The terms of `update_coupling` that stay fixed while the
     responsibilities and the penalties do, and its scratch, all shaped
-    like the class-major responsibilities `resp`."""
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("split penalties must be positive")
-    return {"four_phi_g": 4.0 * resp * (g1 + g2), "two_phi": 2.0 * resp,
+    like the class-major responsibilities `resp`. A penalty that is not a
+    finite positive real (`check_real`) raises ValueError."""
+    g = (check_real(g1, "tv_split_penalty", positive=True)
+         + check_real(g2, "simplex_split_penalty", positive=True))
+    return {"four_phi_g": 4.0 * resp * g, "two_phi": 2.0 * resp,
             "lin": np.empty_like(resp), "disc": np.empty_like(resp),
             "conj_mask": np.empty(resp.shape, dtype=bool)}
 
@@ -216,6 +218,8 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
     negative, the conjugate form of the quadratic formula avoids the
     cancellation; its denominator is then at least 2|c| > 0. Elsewhere the
     direct root has none, and gives 0 for zero responsibility and c = 0.
+    A penalty that is not a finite positive real (`check_real`) raises
+    ValueError.
 
     With `work`, the membership ADMM's workspace formed from these
     responsibilities and penalties, the fields are its class-major arrays,
@@ -226,14 +230,15 @@ def update_coupling(memberships: np.ndarray, simplex_field: np.ndarray,
     The work runs over the row blocks of the workspace, the first on the
     calling thread and the rest on the thread pool.
     """
-    g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
+    g1, g2 = tv_split_penalty, simplex_split_penalty
     fields = (memberships, simplex_field, mult_tv, mult_simplex)
-    if work is None:
+    if work is None:  # _coupling_fields checks the penalties, as in admm_workspace
         shape = np.shape(responsibilities)
         resp = _class_major(responsibilities, shape)
         work = Workspace(resp.shape, **_coupling_fields(resp, g1, g2), eta=np.empty(resp.shape))
         eta = update_coupling(*(_class_major(f, shape) for f in fields), resp, g1, g2, work=work)
         return _pixel_major(eta, shape)
+    g1, g2 = float(g1), float(g2)
     parallel.map_blocks(lambda blk: _coupling_rows(
         blk, *(f[:, blk.rows] for f in fields), g1, g2), work.blocks)
     return work.eta
@@ -256,19 +261,21 @@ def normalize_to_simplex(coupling: np.ndarray, mult_simplex: np.ndarray,
     Every entry stays positive for any finite scores. Entries stay strictly
     below 1 only while a row's largest score is under about floor / eps
     (1e-4 / 2.2e-16 at the solver's floor); beyond that the largest entry
-    rounds to exactly 1. The membership ADMM's scores are O(1).
+    rounds to exactly 1. The membership ADMM's scores are O(1). A penalty
+    or floor that is not a finite positive real (`check_real`) raises
+    ValueError.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    g2 = check_real(simplex_split_penalty, "simplex_split_penalty", positive=True)
+    floor = check_real(floor, "floor", positive=True)
     if work is None:
         shape = np.shape(coupling)
         coupling, mult_simplex = (_class_major(f, shape) for f in (coupling, mult_simplex))
         work = Workspace(coupling.shape, psi=np.empty(coupling.shape))
-        psi = normalize_to_simplex(coupling, mult_simplex, simplex_split_penalty, floor, work=work)
+        psi = normalize_to_simplex(coupling, mult_simplex, g2, floor, work=work)
         return _pixel_major(psi, shape)
 
     def block(blk):
-        scores = np.multiply(simplex_split_penalty, coupling[:, blk.rows], out=blk.psi)
+        scores = np.multiply(g2, coupling[:, blk.rows], out=blk.psi)
         scores += mult_simplex[:, blk.rows]
         np.maximum(scores, floor, out=scores)
         scores /= scores.sum(axis=0)
@@ -488,9 +495,11 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     `delta`, which the next call overwrites; the iterate the call started
     from is kept unchanged in `delta_prev`, so a caller may still compare
     the two. A constant input, or a zero weight, is its own prox: `delta`, with
-    (d, b) zero, in 0 passes; a negative or NaN weight raises ValueError.
+    (d, b) zero, in 0 passes. A negative or NaN weight, or a grid side that
+    is not an integer of at least 1 (`check_integer`), raises ValueError. An
+    infinite weight is accepted: its prox, each class image's mean, exists.
     """
-    n = int(grid_side)
+    n = check_integer(grid_side, "grid_side", minimum=1)
     if state is None or np.shape(field) != state.grid:
         shape = np.shape(field)
         v = _class_major(field, shape, n)
@@ -546,13 +555,14 @@ def admm_workspace(responsibilities: np.ndarray, memberships: np.ndarray, grid_s
     block `psi`, the multipliers `lam_tv` and `lam_simplex`, and the TV
     target `target`. The TV iterate `delta`, `eta`, `psi` and the first
     target, eta - lam_tv / g1, start at `memberships`, transposed in once
-    by `_class_major`; the multipliers start at zero."""
-    g1, g2 = float(tv_split_penalty), float(simplex_split_penalty)
+    by `_class_major`; the multipliers start at zero. A penalty that is not
+    a finite positive real (`check_real`) raises ValueError."""
     delta = _class_major(memberships, side=grid_side)
     if np.may_share_memory(delta, memberships):  # one class is viewed; the ADMM writes it
         delta = delta.copy()
     resp = _class_major(responsibilities, np.shape(memberships), grid_side)
-    return Workspace(delta.shape, **_tv_fields(delta), **_coupling_fields(resp, g1, g2),
+    return Workspace(delta.shape, **_tv_fields(delta),
+                     **_coupling_fields(resp, tv_split_penalty, simplex_split_penalty),
                      eta=delta.copy(), psi=delta.copy(), lam_tv=np.zeros_like(delta),
                      lam_simplex=np.zeros_like(delta), target=delta.copy())
 
@@ -607,7 +617,7 @@ def solve_reconstruction(system: SystemMatrix, measurements: np.ndarray,
     sw = np.sqrt(0.5 * w)
     sqrt_dw = math.sqrt(cfg.data_weight)
     tw = cfg.tikhonov_weight
-    sqrt_tw = math.sqrt(tw) if tw > 0 else 0.0
+    sqrt_tw = math.sqrt(tw)
     side = int(math.isqrt(n_pix))
     use_grad = tw > 0
     if use_grad and side * side != n_pix:

@@ -10,6 +10,7 @@ from .geometry import check_integer
 
 PIECEWISE_CLASSES = 8
 SMOOTH_MEANS = (0.16, 0.24, 0.565)
+MIN_GRID_SIDE = 16  # both phantoms' smallest side; a smaller one raises ValueError
 
 
 @dataclass
@@ -31,14 +32,6 @@ class Phantom:
         return len(self.class_means)
 
 
-def check_grid_side(grid_side: int) -> int:
-    """The grid side as an int; both phantoms need at least 16 pixels a side."""
-    n = check_integer(grid_side, "grid_side")
-    if n < 16:
-        raise ValueError(f"grid side {n} is below 16, the smallest phantom")
-    return n
-
-
 def _unit_grid(n: int):
     # pixel-center coordinates in [0, 1]^2; u horizontal (cols), v vertical (rows)
     u = (np.arange(n) + 0.5) / n
@@ -55,7 +48,7 @@ def make_piecewise_phantom(grid_side: int) -> Phantom:
     with similar attenuation meet only along short straight edges, and the
     layout scales with the grid side.
     """
-    n = check_grid_side(grid_side)
+    n = check_integer(grid_side, "grid_side", minimum=MIN_GRID_SIDE)
     uu, vv = _unit_grid(n)
     labels = np.ones((n, n), dtype=np.int64)
 
@@ -89,7 +82,7 @@ def make_smooth_phantom(grid_side: int) -> Phantom:
     skirts in between. True labels are assigned per pixel by the nearest
     class mean, ties going to the smaller class index.
     """
-    n = check_grid_side(grid_side)
+    n = check_integer(grid_side, "grid_side", minimum=MIN_GRID_SIDE)
     uu, vv = _unit_grid(n)
 
     def bump(cu, cv, width):

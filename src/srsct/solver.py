@@ -99,14 +99,13 @@ def joint_energy(x: np.ndarray, memberships: np.ndarray, responsibilities: np.nd
                  prior: ClassPrior, system: SystemMatrix, measurements: np.ndarray,
                  cfg: SolverConfig) -> float:
     """Full separable energy in (x, memberships, responsibilities), including
-    the squared-gradient term when cfg.tikhonov_weight is positive. With a
-    zero tikhonov weight this is the model-9 objective."""
+    the squared-gradient term weighted by cfg.tikhonov_weight. With a zero
+    tikhonov weight this is the model-9 objective (0 times the term adds +0.0)."""
     n = int(math.isqrt(len(x)))
     resid = apply(system, x) - measurements
     value = cfg.data_weight * float(resid @ resid)
-    if cfg.tikhonov_weight != 0.0:
-        gh, gv = image_gradient(x.reshape(n, n))
-        value += cfg.tikhonov_weight * float((gh * gh + gv * gv).sum())
+    gh, gv = image_gradient(x.reshape(n, n))
+    value += cfg.tikhonov_weight * float((gh * gh + gv * gv).sum())
     value += cfg.tv_weight * total_variation(memberships.reshape(n, n, -1))
     log_f = _log_components(x, memberships, prior)
     phi = responsibilities
@@ -128,15 +127,18 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     membership field. Stops on the relative change of the TV block or after
     admm_max iterations, and returns the simplex block, which is strictly
     feasible by construction. Raises DivergenceError, naming the iteration,
-    once an iterate is no longer finite.
+    once an iterate is no longer finite. A responsibility field that is not
+    2-D or holds a negative entry or a NaN, or a grid side that is not an
+    integer of at least 1 (`check_integer`), raises ValueError.
 
     Every field lives in one `admm_workspace`, class-major and allocated
     once per call, and is updated in place by every iteration; only the
     kernels move its buffers. The result is a copy of its `psi`, viewed
     back to (N, K) by `_pixel_major`.
     """
+    grid_side = check_integer(grid_side, "grid_side", minimum=1)
     phi = np.asarray(responsibilities, dtype=np.float64)
-    if phi.ndim != 2 or np.any(phi < 0.0):
+    if phi.ndim != 2 or not np.all(phi >= 0.0):  # also rejects a NaN
         raise ValueError("responsibilities must be a nonnegative (N, K) field")
     g1 = cfg.tv_split_penalty
     g2 = cfg.simplex_split_penalty

@@ -210,20 +210,24 @@ class TestConfigFile:
             ExperimentConfig(variant="model-5")
 
     @pytest.mark.parametrize("setting,message", [
-        (dict(grid_side=8), "grid side 8 is below 16"),
-        (dict(grid_side=1), "grid side 1 is below 16"),
-        (dict(detector_pixels=0), "detector needs at least one pixel"),
+        (dict(grid_side=8), "grid_side must be at least 16, got 8"),
+        (dict(grid_side=1), "grid_side must be at least 16, got 1"),
+        (dict(detector_pixels=0), "detector_pixels must be at least 1, got 0"),
         (dict(angles="0:6:180"), r"angle 0.0 outside \(0, 180\] degrees"),
         (dict(angles="0:1:inf"), "must be finite"),
         (dict(angles=OVERSIZE_ANGLES), f"more than {MAX_ANGLES} angles"),
-        (dict(noise_level=-1.0), "noise level must be finite and nonnegative"),
-        (dict(noise_level=float("nan")), "noise level must be finite and nonnegative"),
-        (dict(prior_sigma=0.0), "standard deviations must be positive"),
+        (dict(noise_level=-1.0), "noise_level must be finite and at least 0, got -1.0"),
+        (dict(noise_level=float("nan")), "noise_level must be finite and at least 0, got nan"),
+        (dict(prior_sigma=0.0), "prior_sigma must be finite and greater than 0, got 0.0"),
         (dict(prior_sigma=float("nan")), "must be finite"),
         (dict(seed=-1), "seed must be at least 0, got -1"),
+        (dict(noise_level="0.05"), "noise_level must be a real number, got '0.05'"),
+        (dict(noise_level=True), "noise_level must be a real number, got True"),
+        (dict(prior_sigma="0.1"), "prior_sigma must be a real number, got '0.1'"),
     ], ids=["n8", "n1", "zero-detector-pixels", "zero-angle", "infinite-angle-stop",
             "too-many-angles", "negative-noise", "nan-noise", "zero-prior-sigma",
-            "nan-prior-sigma", "negative-seed"])
+            "nan-prior-sigma", "negative-seed", "string-noise", "bool-noise",
+            "string-prior-sigma"])
     def test_bad_scan_setting_rejected_at_construction(self, setting, message):
         # the rules the CLI applies: no config, hence no trial, exists
         with pytest.raises(ValueError, match=message):
@@ -245,6 +249,22 @@ class TestConfigFile:
         # a float is not truncated into a smaller scan or a cap that fails the trial later
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             make(**setting)
+
+    @pytest.mark.parametrize("setting,message", [
+        (dict(data_weight="1.0"), "data_weight must be a real number, got '1.0'"),
+        (dict(data_weight=None), "data_weight must be a real number, got None"),
+        (dict(tv_weight=True), "tv_weight must be a real number, got True"),
+        (dict(data_weight=0.0), "data_weight must be finite and greater than 0, got 0.0"),
+        (dict(tikhonov_weight=-1.0), "tikhonov_weight must be finite and at least 0, got -1.0"),
+        (dict(simplex_split_penalty=float("inf")),
+         "simplex_split_penalty must be finite and greater than 0, got inf"),
+        (dict(admm_tol=np.float64("nan")), "admm_tol must be finite and greater than 0, got nan"),
+    ], ids=["string-weight", "none-weight", "bool-weight", "zero-data-weight",
+            "negative-tikhonov", "infinite-penalty", "nan-tolerance"])
+    def test_bad_real_setting_rejected_at_construction(self, setting, message):
+        # weights, penalties and tolerances take one rule; the smoothing weights may be 0
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**setting)
 
 
 class TestRunExperiment:
@@ -319,9 +339,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="SRS_THREADS"):
             run_experiment(fast_config())
 
-    def test_no_files_without_out_dir(self):
-        report = run_experiment(fast_config(trials=1))
-        assert report.files == {}
+    def test_no_files_without_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_experiment(fast_config(trials=1))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("threads, trials, cores, size", [
         ("64", 64, 2, 2), ("8", 3, 16, 3), ("2", 5, 4, 2), ("4", 4, 1, None)],

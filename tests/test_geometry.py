@@ -481,6 +481,14 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.ones(3), -0.1, 0)
 
+    @pytest.mark.parametrize("level,message", [
+        ("0.1", "noise_level must be a real number, got '0.1'"),
+        (np.nan, "noise_level must be finite and at least 0, got nan"),
+    ], ids=["string", "nan"])
+    def test_level_that_is_not_a_finite_real_rejected(self, level, message):
+        with pytest.raises(ValueError, match=message):
+            add_noise(np.ones(3), level, 1)
+
     @pytest.mark.parametrize("level", [0.0, 0.1])
     @pytest.mark.parametrize("seed,message", [
         (-1, "seed must be at least 0, got -1"), (1.5, "seed must be an integer"),

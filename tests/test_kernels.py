@@ -96,6 +96,15 @@ class TestMixtureComponent:
         with pytest.raises(ValueError):
             mixture_component(0.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("weight,std,message", [
+        (np.nan, 1.0, "weight must be finite and greater than 0, got nan"),
+        (1.0, np.nan, "std must be finite and greater than 0, got nan"),
+        (1.0, np.inf, "std must be finite and greater than 0, got inf"),
+    ], ids=["nan-weight", "nan-std", "infinite-std"])
+    def test_rejects_a_weight_or_std_that_is_not_finite_positive(self, weight, std, message):
+        with pytest.raises(ValueError, match=message):
+            mixture_component(0.0, weight, 0.0, std)
+
 
 class TestLogsumTransform:
     def test_symmetric_pair(self):
@@ -131,6 +140,8 @@ class TestLogsumTransform:
             logsum_transform(np.array([0.5, 0.0]))
         with pytest.raises(ValueError):
             logsum_transform(np.array([0.5, -1.0]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            logsum_transform(np.array([1.0, np.nan]))
 
 
 class TestUpdateCoupling:
@@ -264,6 +275,24 @@ def test_operand_of_another_shape_rejected(kernel):
     message = messages.get(kernel, r"is not pixel-major, \(N,\) or \(N, K\) with N = 4 \* 4")
     with pytest.raises(ValueError, match=message):
         calls[kernel]()
+
+
+@pytest.mark.parametrize("kernel,penalties,message", [
+    ("coupling", (np.nan, 2.0), "tv_split_penalty must be finite and greater than 0, got nan"),
+    ("coupling", (1.0, np.inf), "simplex_split_penalty must be finite and greater than 0, got inf"),
+    ("simplex", (np.nan, 1e-4), "simplex_split_penalty must be finite and greater than 0, got nan"),
+    ("simplex", (2.0, np.nan), "floor must be finite and greater than 0, got nan"),
+    ("simplex", (2.0, np.inf), "floor must be finite and greater than 0, got inf"),
+], ids=["coupling-nan-tv-penalty", "coupling-infinite-simplex-penalty",
+        "simplex-nan-penalty", "simplex-nan-floor", "simplex-infinite-floor"])
+def test_penalty_or_floor_that_is_not_finite_positive_rejected(kernel, penalties, message):
+    # each used to return NaN fields or warn of an overflow
+    field = np.full((4, 3), 1 / 3)
+    with pytest.raises(ValueError, match=message):
+        if kernel == "coupling":
+            update_coupling(field, field, field, field, field, *penalties)
+        else:
+            normalize_to_simplex(field, field, *penalties)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -577,6 +606,10 @@ class TestTvProx:
                 tv_prox(np.ones(16), weight, 4, SolverConfig())
         with pytest.raises(ValueError):
             tv_prox(np.full(16, np.inf), 1.0, 4, SolverConfig())
+        # a side that int() would have truncated or parsed to 4
+        for side in (4.7, "4"):
+            with pytest.raises(ValueError, match=f"grid_side must be an integer, got {side!r}"):
+                tv_prox(np.ones(16), 0.5, side, SolverConfig())
 
 
 def allocating_tv_prox(v_flat, weight, n, cfg, state=None):

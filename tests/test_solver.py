@@ -198,6 +198,18 @@ class TestMembershipSubproblemInPlace:
                            match=r"^membership ADMM produced non-finite values at iteration 2$"):
             solve_membership_subproblem(resp, np.full((64, 2), 0.5), SolverConfig(), 8)
 
+    @pytest.mark.parametrize("entry,grid_side,message", [
+        (0.5, 8.0, "grid_side must be an integer, got 8.0"),
+        (np.nan, 8, r"responsibilities must be a nonnegative \(N, K\) field"),
+    ], ids=["float-grid-side", "nan-responsibility"])
+    def test_bad_input_rejected(self, entry, grid_side, message):
+        # a float side used to end in a TypeError, a NaN responsibility in a
+        # DivergenceError at iteration 2
+        resp = np.full((64, 2), 0.5)
+        resp[10, 0] = entry
+        with pytest.raises(ValueError, match=message):
+            solve_membership_subproblem(resp, np.full((64, 2), 0.5), SolverConfig(), grid_side)
+
 
 def pixel_major_tv_prox(v_flat, weight, n, cfg, state=None):
     """The split-Bregman prox on (n, n, K) fields, with each 2-D DCT as an
