@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import configparser
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -146,14 +147,11 @@ def parse_angles(spec: str) -> list[float]:
     return [min(start + step * k, stop) for k in range(int(count))]
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
 def _parse_bool(value: str) -> bool:
-    """1/0, true/false, yes/no or on/off, in any case; anything else is an error."""
+    """1/0, true/false, yes/no or on/off, in any case, as configparser reads
+    them; anything else is an error."""
     try:
-        return _BOOLS[value.lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
     except KeyError:
         raise ValueError(f"expected a boolean (1/0, true/false, yes/no, on/off), "
                          f"got {value!r}") from None

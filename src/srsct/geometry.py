@@ -124,9 +124,12 @@ def _row_blocks(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
 
 
 def check_integer(value, name: str, minimum: int | None = None) -> int:
-    """`value` as an int. A non-integer (a float, a string or None among
-    them) or one below `minimum` raises ValueError naming `name` and the value."""
+    """`value` as an int. A non-integer (a float, a bool, a string or None
+    among them) or one below `minimum` raises ValueError naming `name` and
+    the value."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -255,8 +258,8 @@ def _trace_rows(n: int, p: int, angles: list[float]) -> sp.csr_matrix:
 def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Sparse product with the system matrix or its transpose.
 
-    A matrix of several row blocks computes them at once, one on the calling
-    thread and the rest on the process's thread pool (`parallel.map_blocks`).
+    The row blocks run through `parallel.map_blocks`: the first, or the only
+    one, on the calling thread and the rest on the process's thread pool.
     Each output entry is the same row sum in the same order as the whole
     product's, so the result is bit-identical whatever the block count.
     """
@@ -266,8 +269,6 @@ def apply(system: SystemMatrix, vector: np.ndarray, transposed: bool = False) ->
         raise ValueError(f"vector length {v.shape} does not match operator "
                          f"({'transposed ' if transposed else ''}expects {expected})")
     blocks = system._blocks_t if transposed else system._blocks
-    if len(blocks) == 1:
-        return blocks[0] @ v
     return np.concatenate(parallel.map_blocks(lambda block: block @ v, blocks))
 
 

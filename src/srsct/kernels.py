@@ -144,12 +144,13 @@ def logsum_transform(values: np.ndarray) -> tuple[float, np.ndarray]:
     The normalized weights are the minimizer of
     sum_k(-w_k log v_k + w_k log w_k) over the open simplex, and the minimum
     value equals -log(sum_k v_k). An input that is not a nonempty 1-D array,
-    or that holds a zero, a negative entry or a NaN, raises ValueError.
+    or that holds a zero, a negative entry, a NaN or an infinity, raises
+    ValueError.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D array")
-    if not np.all(v > 0.0):  # also rejects a NaN
+    if not np.all((v > 0.0) & (v < np.inf)):  # also rejects a NaN
         raise ValueError("all inputs must be strictly positive")
     total = v.sum()
     return float(-np.log(total)), v / total
@@ -369,9 +370,9 @@ def total_variation(field: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _neumann_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DCT-II matrix C and the (n, n) eigenvalues of
-    I + scale * grad^T grad on an n x n grid.
+    I + BREGMAN_PENALTY_SCALE * grad^T grad on an n x n grid.
 
     With forward differences and a replicated boundary, grad^T grad is the
     Neumann Laplacian. C diagonalises its 1-D second difference exactly,
@@ -382,7 +383,7 @@ def _neumann_basis(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     basis = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n)
     basis[0] /= math.sqrt(2.0)
     lam = 2.0 - 2.0 * np.cos(np.pi * k / n)
-    eig = 1.0 + scale * (lam[:, None] + lam[None, :])
+    eig = 1.0 + BREGMAN_PENALTY_SCALE * (lam[:, None] + lam[None, :])
     basis.setflags(write=False)  # shared by every caller through the cache
     eig.setflags(write=False)
     return basis, eig
@@ -422,7 +423,7 @@ def _shrink_step(st: SimpleNamespace, thresh: float) -> None:
 
 
 def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace, basis: np.ndarray,
-                  eig: np.ndarray, scale: float, thresh: float) -> float:
+                  eig: np.ndarray, thresh: float) -> float:
     """One split-Bregman pass from the iterate `src`, class-major like `v`
     and left as it was, into ws.delta, with d - b and b updated in place in
     (dh, dv) and (bh, bv). Returns the relative change of the iterate.
@@ -435,10 +436,10 @@ def _bregman_pass(v: np.ndarray, src: np.ndarray, ws: Workspace, basis: np.ndarr
     change the last digits of some rows at some n, as OpenBLAS picks a
     GEMM's micro-kernel by its shape. The relative change is taken whole.
     """
-    def rhs(blk):  # v + scale * grad^T (d - b)
+    def rhs(blk):  # v + BREGMAN_PENALTY_SCALE * grad^T (d - b)
         o = blk.delta
         _gradient_adjoint_rows(ws.dh, ws.dv, blk.rows, o)
-        o *= scale
+        o *= BREGMAN_PENALTY_SCALE
         np.add(v[:, blk.rows], o, out=o)
 
     def solve(classes):  # C^T ((C rhs C^T) / eig) C, class by class; the change
@@ -495,9 +496,10 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
     `delta`, which the next call overwrites; the iterate the call started
     from is kept unchanged in `delta_prev`, so a caller may still compare
     the two. A constant input, or a zero weight, is its own prox: `delta`, with
-    (d, b) zero, in 0 passes. A negative or NaN weight, or a grid side that
-    is not an integer of at least 1 (`check_integer`), raises ValueError. An
-    infinite weight is accepted: its prox, each class image's mean, exists.
+    (d, b) zero, in 0 passes. A weight that is not a finite nonnegative real
+    (`check_real`; a bool, a string, a NaN or an infinity among them), or a
+    grid side that is not an integer of at least 1 (`check_integer`), raises
+    ValueError.
     """
     n = check_integer(grid_side, "grid_side", minimum=1)
     if state is None or np.shape(field) != state.grid:
@@ -509,10 +511,7 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         state = state or Workspace(v.shape, **_tv_fields(np.empty(v.shape)))
         out, info = tv_prox(v, weight, n, cfg, state)
         return _pixel_major(out, shape), info
-    scale = BREGMAN_PENALTY_SCALE
-    thresh = weight / scale
-    if not thresh >= 0.0:  # also rejects a NaN weight
-        raise ValueError("weight must be nonnegative")
+    thresh = check_real(weight, "weight") / BREGMAN_PENALTY_SCALE
     lo, hi = field.min(), field.max()  # both propagate NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("input must be finite")
@@ -534,13 +533,13 @@ def tv_prox(field: np.ndarray, weight: float, grid_side: int,
         src = field
     state.warm = True
 
-    basis, eig = _neumann_basis(n, scale)
+    basis, eig = _neumann_basis(n)
     iterations = 0
     for iterations in range(1, passes + 1):
         if iterations > 1:  # the last pass's iterate is the next one's source
             state.swap("delta", "spare")
             src = state.spare
-        rel = _bregman_pass(field, src, state, basis, eig, scale, thresh)
+        rel = _bregman_pass(field, src, state, basis, eig, thresh)
         if rel < cfg.bregman_tol:
             break
     return state.delta, {"iterations": iterations, "state": state}
@@ -600,12 +599,20 @@ def solve_reconstruction(system: SystemMatrix, measurements: np.ndarray,
     with target [sqrt(dw) b; sqrt(w/2) m; 0], where w_j sums resp_jk/s_k^2
     and m_j is the per-pixel precision-weighted prior mean.
 
+    Both variants run this one operator: at a zero tikhonov_weight (model-9)
+    the gradient blocks are zero and add +0.0. The system's columns must
+    form a square pixel grid, N = n², or the call raises ValueError, as
+    does a responsibility field or measurement vector of the wrong shape.
+
     Stops when the relative change of x drops below cgls_tol or after
     cgls_max iterations.
     """
     b = np.asarray(measurements, dtype=np.float64)
     resp = np.asarray(responsibilities, dtype=np.float64)
     n_pix = system.n
+    side = math.isqrt(n_pix)
+    if side * side != n_pix:
+        raise ValueError(f"system has {n_pix} columns, not a square pixel grid")
     if resp.shape != (n_pix, prior.n_classes):
         raise ValueError("responsibility field shape does not match system/prior")
     if b.shape != (system.m,):
@@ -616,29 +623,17 @@ def solve_reconstruction(system: SystemMatrix, measurements: np.ndarray,
     m = (resp @ (prior.means * inv_var)) / w
     sw = np.sqrt(0.5 * w)
     sqrt_dw = math.sqrt(cfg.data_weight)
-    tw = cfg.tikhonov_weight
-    sqrt_tw = math.sqrt(tw)
-    side = int(math.isqrt(n_pix))
-    use_grad = tw > 0
-    if use_grad and side * side != n_pix:
-        raise ValueError("gradient term needs a square pixel grid")
+    sqrt_tw = math.sqrt(cfg.tikhonov_weight)
 
     def forward(x):
-        blocks = [sqrt_dw * apply(system, x), sw * x]
-        if use_grad:
-            gh, gv = image_gradient(x.reshape(side, side))
-            blocks.extend((sqrt_tw * gh, sqrt_tw * gv))
-        return blocks
+        gh, gv = image_gradient(x.reshape(side, side))
+        return [sqrt_dw * apply(system, x), sw * x, sqrt_tw * gh, sqrt_tw * gv]
 
     def adjoint(blocks):
         out = sqrt_dw * apply(system, blocks[0], transposed=True) + sw * blocks[1]
-        if use_grad:
-            out = out + sqrt_tw * image_gradient_adjoint(blocks[2], blocks[3]).ravel()
-        return out
+        return out + sqrt_tw * image_gradient_adjoint(blocks[2], blocks[3]).ravel()
 
-    rhs = [sqrt_dw * b, sw * m]
-    if use_grad:
-        rhs.extend((np.zeros((side, side)), np.zeros((side, side))))
+    rhs = [sqrt_dw * b, sw * m, np.zeros((side, side)), np.zeros((side, side))]
 
     x = np.zeros(n_pix) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     with np.errstate(over="ignore", invalid="ignore"):

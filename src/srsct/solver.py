@@ -128,8 +128,8 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     admm_max iterations, and returns the simplex block, which is strictly
     feasible by construction. Raises DivergenceError, naming the iteration,
     once an iterate is no longer finite. A responsibility field that is not
-    2-D or holds a negative entry or a NaN, or a grid side that is not an
-    integer of at least 1 (`check_integer`), raises ValueError.
+    2-D or holds a negative entry, a NaN or an infinity, or a grid side that
+    is not an integer of at least 1 (`check_integer`), raises ValueError.
 
     Every field lives in one `admm_workspace`, class-major and allocated
     once per call, and is updated in place by every iteration; only the
@@ -138,7 +138,7 @@ def solve_membership_subproblem(responsibilities: np.ndarray,
     """
     grid_side = check_integer(grid_side, "grid_side", minimum=1)
     phi = np.asarray(responsibilities, dtype=np.float64)
-    if phi.ndim != 2 or not np.all(phi >= 0.0):  # also rejects a NaN
+    if phi.ndim != 2 or not np.all((phi >= 0.0) & (phi < np.inf)):  # also rejects a NaN
         raise ValueError("responsibilities must be a nonnegative (N, K) field")
     g1 = cfg.tv_split_penalty
     g2 = cfg.simplex_split_penalty

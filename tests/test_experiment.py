@@ -243,8 +243,12 @@ class TestConfigFile:
         (SolverConfig, dict(cgls_max=10.0), "cgls_max"),
         (SolverConfig, dict(admm_max=np.float64(5.0)), "admm_max"),
         (SolverConfig, dict(bregman_max=1.5), "bregman_max"),
+        # operator.index takes a bool as 1 or 0
+        (ExperimentConfig, dict(trials=True), "trials"),
+        (ExperimentConfig, dict(seed=False), "seed"),
+        (SolverConfig, dict(outer_max=True), "outer_max"),
     ], ids=["grid-side", "detector-pixels", "trials", "seed", "outer-max", "cgls-max",
-            "admm-max", "bregman-max"])
+            "admm-max", "bregman-max", "bool-trials", "bool-seed", "bool-outer-max"])
     def test_non_integral_setting_rejected_at_construction(self, make, setting, name):
         # a float is not truncated into a smaller scan or a cap that fails the trial later
         with pytest.raises(ValueError, match=f"{name} must be an integer"):

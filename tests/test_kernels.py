@@ -142,6 +142,9 @@ class TestLogsumTransform:
             logsum_transform(np.array([0.5, -1.0]))
         with pytest.raises(ValueError, match="strictly positive"):
             logsum_transform(np.array([1.0, np.nan]))
+        # an infinity used to give (-inf, [0, nan])
+        with pytest.raises(ValueError, match="strictly positive"):
+            logsum_transform(np.array([1.0, np.inf]))
 
 
 class TestUpdateCoupling:
@@ -601,8 +604,13 @@ class TestTvProx:
         assert not any(part.any() for part in state_arrays(info["state"])[1:])
 
     def test_rejects_bad_input(self):
-        for weight in (-1.0, np.nan):
-            with pytest.raises(ValueError, match="weight must be nonnegative"):
+        for weight in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^weight must be finite and at least 0, "
+                                                 f"got {weight}$"):
+                tv_prox(np.ones(16), weight, 4, SolverConfig())
+        # a string used to end in a TypeError, a bool to be taken as 1
+        for weight in ("0.5", True):
+            with pytest.raises(ValueError, match=f"^weight must be a real number, got {weight!r}$"):
                 tv_prox(np.ones(16), weight, 4, SolverConfig())
         with pytest.raises(ValueError):
             tv_prox(np.full(16, np.inf), 1.0, 4, SolverConfig())
@@ -620,7 +628,7 @@ def allocating_tv_prox(v_flat, weight, n, cfg, state=None):
     must match bit for bit."""
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
-    basis, eig = _neumann_basis(n, scale)
+    basis, eig = _neumann_basis(n)
     v = np.ascontiguousarray(v_flat.reshape(n * n, -1).T).reshape(-1, n, n)
 
     def gradient(u):
@@ -748,7 +756,7 @@ class TestTvProxInnerSolve:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
     def test_basis_is_orthonormal(self, n):
-        basis, _ = _neumann_basis(n, BREGMAN_PENALTY_SCALE)
+        basis, _ = _neumann_basis(n)
         np.testing.assert_allclose(basis @ basis.T, np.eye(n), rtol=0, atol=1e-13)
 
     def test_leaves_scipy_fft_unimported(self):
@@ -974,3 +982,11 @@ class TestSolveReconstruction:
         with pytest.raises(ValueError):
             solve_reconstruction(system, np.zeros(5), np.ones((4, 2)), prior,
                                  SolverConfig())
+        # six columns are no square grid, with the gradient term (model-16)
+        # or without it (model-9)
+        system = SystemMatrix(sp.identity(6, format="csr"))
+        for tw in (0.0, 1.0):
+            with pytest.raises(ValueError,
+                               match="^system has 6 columns, not a square pixel grid$"):
+                solve_reconstruction(system, np.zeros(6), np.ones((6, 2)), prior,
+                                     SolverConfig(tikhonov_weight=tw))

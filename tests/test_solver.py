@@ -201,10 +201,11 @@ class TestMembershipSubproblemInPlace:
     @pytest.mark.parametrize("entry,grid_side,message", [
         (0.5, 8.0, "grid_side must be an integer, got 8.0"),
         (np.nan, 8, r"responsibilities must be a nonnegative \(N, K\) field"),
-    ], ids=["float-grid-side", "nan-responsibility"])
+        (np.inf, 8, r"responsibilities must be a nonnegative \(N, K\) field"),
+    ], ids=["float-grid-side", "nan-responsibility", "infinite-responsibility"])
     def test_bad_input_rejected(self, entry, grid_side, message):
-        # a float side used to end in a TypeError, a NaN responsibility in a
-        # DivergenceError at iteration 2
+        # a float side used to end in a TypeError, a NaN or infinite
+        # responsibility in a DivergenceError at iteration 2
         resp = np.full((64, 2), 0.5)
         resp[10, 0] = entry
         with pytest.raises(ValueError, match=message):
@@ -218,7 +219,7 @@ def pixel_major_tv_prox(v_flat, weight, n, cfg, state=None):
     verbatim. The state is a tuple (u, dh, dv, bh, bv)."""
     scale = BREGMAN_PENALTY_SCALE
     thresh = weight / scale
-    basis, eig = _neumann_basis(n, scale)
+    basis, eig = _neumann_basis(n)
     eig = eig[:, :, None]
     v = v_flat.reshape(n, n, -1)
 
